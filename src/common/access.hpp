@@ -179,8 +179,8 @@ struct ViewHook {
 
 /// State the team may only read. Holds a value (or, with T = const U&, a
 /// reference) fixed at construction; no non-const accessor exists and
-/// assignment is deleted. Checked builds additionally trap use of the
-/// two-phase init_once() path before/after its one allowed call.
+/// assignment is deleted. Checked builds additionally trap a read of a
+/// default-constructed (never set) value.
 template <typename T, bool Checked = kAccessChecked>
 class SharedReadOnly {
   using Stored =
@@ -201,21 +201,6 @@ class SharedReadOnly {
   SharedReadOnly& operator=(const SharedReadOnly&) = delete;
   SharedReadOnly(SharedReadOnly&&) noexcept = default;
   SharedReadOnly& operator=(SharedReadOnly&&) noexcept = default;
-
-  /// Two-phase construction for members filled in a constructor body
-  /// (StealingCounters::Range::end). May be called once, before the value
-  /// is ever shared; checked builds trap double-init.
-  void init_once(T v) {
-    if constexpr (Checked) {
-      MC_CHECK(!set_.value, "SharedReadOnly initialized twice");
-      set_.value = true;
-    }
-    if constexpr (std::is_reference_v<T>) {
-      v_ = &v;
-    } else {
-      v_ = std::move(v);
-    }
-  }
 
   [[nodiscard]] const std::remove_reference_t<T>& get() const {
     if constexpr (Checked) {

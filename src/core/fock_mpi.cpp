@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "obs/trace.hpp"
-#include "par/work_stealing.hpp"
 
 namespace mc::core {
 
@@ -53,8 +52,16 @@ void FockBuilderMpi::process_pair(const ints::ScreenedPair& pair,
   });
 }
 
-void FockBuilderMpi::build_dlb(const la::Matrix& density, la::Matrix& g,
-                               const scf::FockContext& ctx) {
+void FockBuilderMpi::build(const la::Matrix& density, la::Matrix& g,
+                           const scf::FockContext& ctx) {
+  MC_OBS_TRACE("fock:mpi");
+  const basis::BasisSet& bs = eri_->basis_set();
+  MC_CHECK(g.rows() == bs.nbf() && g.cols() == bs.nbf(), "G shape mismatch");
+  pairs_ = 0;
+  quartets_ = 0;
+  density_screened_ = 0;
+  static_screened_ = 0;
+
   // The DLB counter walks the precompacted Schwarz-sorted pair list --
   // screened-out pairs never hit the shared counter, and the heaviest
   // pairs are claimed first.
@@ -71,38 +78,6 @@ void FockBuilderMpi::build_dlb(const la::Matrix& density, la::Matrix& g,
     process_pair(pairs[p], density, g, ctx, batch);
   }
   flush_batch(batch, density, g);
-}
-
-void FockBuilderMpi::build_stealing(const la::Matrix& density, la::Matrix& g,
-                                    const scf::FockContext& ctx) {
-  const auto& pairs = screen_->sorted_pairs();
-  par::WorkStealingScheduler sched(ddi_->comm(), "fock-mpi-ws",
-                                   static_cast<long>(pairs.size()));
-  ints::QuartetBatch batch(*eri_);
-  for (long p = sched.next(); p >= 0; p = sched.next()) {
-    process_pair(pairs[static_cast<std::size_t>(p)], density, g, ctx, batch);
-  }
-  flush_batch(batch, density, g);
-  steals_ = static_cast<std::size_t>(sched.steals());
-  sched.release();
-}
-
-void FockBuilderMpi::build(const la::Matrix& density, la::Matrix& g,
-                           const scf::FockContext& ctx) {
-  MC_OBS_TRACE("fock:mpi");
-  const basis::BasisSet& bs = eri_->basis_set();
-  MC_CHECK(g.rows() == bs.nbf() && g.cols() == bs.nbf(), "G shape mismatch");
-  pairs_ = 0;
-  quartets_ = 0;
-  density_screened_ = 0;
-  static_screened_ = 0;
-  steals_ = 0;
-
-  if (lb_ == MpiLoadBalance::kWorkStealing) {
-    build_stealing(density, g, ctx);
-  } else {
-    build_dlb(density, g, ctx);
-  }
 
   // 2e-Fock matrix reduction over ranks.
   ddi_->gsumf(g);

@@ -22,22 +22,11 @@
 
 namespace mc::core {
 
-/// How the (i,j) pair loop is distributed across ranks.
-enum class MpiLoadBalance {
-  /// Single global counter, claims in index order (stock GAMESS;
-  /// Algorithm 1's ddi_dlbnext).
-  kDlbCounter,
-  /// Contiguous per-rank slices with single-task stealing from the richest
-  /// victim (Liu, Patel & Chow, IPDPS 2014 -- the paper's related work).
-  kWorkStealing,
-};
-
 class FockBuilderMpi : public scf::FockBuilder {
  public:
   FockBuilderMpi(const ints::EriEngine& eri, const ints::Screening& screen,
-                 par::Ddi& ddi,
-                 MpiLoadBalance lb = MpiLoadBalance::kDlbCounter)
-      : eri_(&eri), screen_(&screen), ddi_(&ddi), lb_(lb) {}
+                 par::Ddi& ddi)
+      : eri_(&eri), screen_(&screen), ddi_(&ddi) {}
 
   [[nodiscard]] std::string name() const override { return "mpi-only"; }
 
@@ -71,15 +60,8 @@ class FockBuilderMpi : public scf::FockBuilder {
   [[nodiscard]] double screening_threshold() const override {
     return screen_->threshold();
   }
-  /// Pairs this rank stole from other ranks' slices in the last build
-  /// (work-stealing mode only; 0 under the DLB counter).
-  [[nodiscard]] std::size_t last_pairs_stolen() const { return steals_; }
 
  private:
-  void build_dlb(const la::Matrix& density, la::Matrix& g,
-                 const scf::FockContext& ctx);
-  void build_stealing(const la::Matrix& density, la::Matrix& g,
-                      const scf::FockContext& ctx);
   /// Queue the pair's surviving quartets into `batch`, flushing (evaluate
   /// + scatter into g, in discovery order) whenever it fills. The caller
   /// owns the batch across pairs and must flush_batch() once after its
@@ -93,12 +75,10 @@ class FockBuilderMpi : public scf::FockBuilder {
   const ints::EriEngine* eri_;
   const ints::Screening* screen_;
   par::Ddi* ddi_;
-  MpiLoadBalance lb_;
   std::size_t pairs_ = 0;
   std::size_t quartets_ = 0;
   std::size_t density_screened_ = 0;
   std::size_t static_screened_ = 0;
-  std::size_t steals_ = 0;
 };
 
 }  // namespace mc::core

@@ -1,9 +1,9 @@
 #pragma once
 // End-to-end distributed SCF: launches a minimpi SPMD job in which every
-// rank runs the lockstep GAMESS-style SCF loop -- replicated one-electron
-// matrices and diagonalization, cooperative two-electron Fock build with
-// the selected algorithm, ddi_gsumf reduction -- and reports rank-0 results
-// plus per-rank memory and load statistics.
+// rank runs the RHF iteration core scf::run_rhf in lockstep -- replicated
+// one-electron matrices and diagonalization, cooperative two-electron Fock
+// build with the selected algorithm, ddi_gsumf reduction -- and reports
+// rank-0 results plus per-rank memory and load statistics.
 //
 // This is the public entry point a downstream user calls; the examples and
 // the algorithm-comparison benchmarks are built on it.

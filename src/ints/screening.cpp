@@ -15,8 +15,8 @@ Screening::Screening(const EriEngine& eri, double threshold)
   q_.assign(nshells_ * nshells_, 0.0);
 
   // Canonical-pair decode table: flat index p -> (i, j), i >= j. Built
-  // once; the Fock builders' merged-index kl loops use it instead of the
-  // per-iteration sqrt decode of unpack_pair.
+  // once; the Fock builders' merged-index kl loops use it instead of a
+  // per-iteration sqrt decode.
   const std::size_t npairs = nshells_ * (nshells_ + 1) / 2;
   pair_i_.resize(npairs);
   pair_j_.resize(npairs);

@@ -98,8 +98,8 @@ class Screening {
     return sorted_bra_shells_;
   }
   /// Precomputed canonical-pair decode: shells (i, j) of flat pair index p
-  /// (i >= j). Replaces the per-iteration sqrt decode of unpack_pair in
-  /// the hot kl loops.
+  /// (i >= j). The hot kl loops use it instead of a per-iteration sqrt
+  /// decode.
   [[nodiscard]] std::pair<std::size_t, std::size_t> pair_shells(
       std::size_t p) const {
     return {pair_i_[p], pair_j_[p]};

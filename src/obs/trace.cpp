@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -84,12 +85,6 @@ std::uint64_t steady_now_ns() {
           .count());
 }
 
-/// First-use epoch so exported timestamps start near zero.
-std::uint64_t process_epoch_ns() {
-  static const std::uint64_t epoch = steady_now_ns();
-  return epoch;
-}
-
 void write_json_escaped(std::ostream& os, const char* s) {
   for (; *s != '\0'; ++s) {
     const char c = *s;
@@ -150,9 +145,19 @@ void record_event(const char* name, std::uint64_t t0_ns, std::uint64_t t1_ns) {
 }  // namespace detail
 
 void write_chrome_trace(std::ostream& os) {
-  const std::uint64_t epoch = process_epoch_ns();
   Registry& r = registry();
   std::lock_guard<std::mutex> lk(r.mu);
+
+  // Timestamps count from the earliest held event, so the timeline starts
+  // at zero and every event keeps its true offset.
+  std::uint64_t epoch = std::numeric_limits<std::uint64_t>::max();
+  for (const auto& b : r.buffers) {
+    const std::uint64_t n = b->count.load(std::memory_order_acquire);
+    const std::uint64_t held = std::min<std::uint64_t>(n, kRingCapacity);
+    for (std::uint64_t k = n - held; k < n; ++k) {
+      epoch = std::min(epoch, b->events[k % kRingCapacity].t0);
+    }
+  }
 
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;

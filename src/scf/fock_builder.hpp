@@ -23,7 +23,7 @@
 // each of the six updates (paper eqs. 2a-2f) is accumulated and how the
 // quartet loop is distributed -- which is exactly the paper's subject.
 
-#include <cmath>
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -174,21 +174,6 @@ void for_each_kl(std::size_t i, std::size_t j, Fn&& fn) {
 inline std::size_t kl_count(std::size_t i, std::size_t j) {
   // sum_{k<i} (k+1) + (j+1)
   return i * (i + 1) / 2 + j + 1;
-}
-
-/// Map a flat canonical pair index back to (i, j), i >= j
-/// (pair = i*(i+1)/2 + j). Kept for tests and one-off decodes; the hot
-/// loops use Screening::pair_shells, a precomputed table without the
-/// sqrt/guard dance.
-inline void unpack_pair(std::size_t pair, std::size_t& i, std::size_t& j) {
-  // i = floor((sqrt(8p+1)-1)/2), then j = p - i(i+1)/2, with a guard for
-  // floating-point edge cases.
-  std::size_t ii = static_cast<std::size_t>(
-      (std::sqrt(8.0 * static_cast<double>(pair) + 1.0) - 1.0) / 2.0);
-  while (ii * (ii + 1) / 2 > pair) --ii;
-  while ((ii + 1) * (ii + 2) / 2 <= pair) ++ii;
-  i = ii;
-  j = pair - ii * (ii + 1) / 2;
 }
 
 }  // namespace mc::scf

@@ -1,7 +1,9 @@
 #include "scf/scf_driver.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/memory_tracker.hpp"
@@ -41,6 +43,24 @@ ScfResult run_scf(const chem::Molecule& mol, const basis::BasisSet& bs,
                   FockBuilder& builder, const ScfOptions& options,
                   const ScfCallbacks& callbacks,
                   const la::Matrix* seed_density) {
+  // --profile (DESIGN.md section 10). Inside an SPMD body (the test
+  // fixtures do this) the record carries the calling rank's slot, so only
+  // one rank of a team may profile; the distributed profiled path is
+  // core::run_parallel_scf.
+  std::unique_ptr<obs::ProfileSession> profile;
+  if (!options.profile_path.empty()) {
+    profile = std::make_unique<obs::ProfileSession>(options.profile_path);
+  }
+  ScfLockstep solo;
+  return run_rhf(mol, bs, builder, options, solo, profile.get(), callbacks,
+                 seed_density);
+}
+
+ScfResult run_rhf(const chem::Molecule& mol, const basis::BasisSet& bs,
+                  FockBuilder& builder, const ScfOptions& options,
+                  ScfLockstep& team, obs::ProfileSession* profile,
+                  const ScfCallbacks& callbacks,
+                  const la::Matrix* seed_density) {
   const int nelec = mol.nelectrons(options.charge);
   MC_CHECK(nelec > 0, "no electrons");
   MC_CHECK(nelec % 2 == 0,
@@ -49,51 +69,48 @@ ScfResult run_scf(const chem::Molecule& mol, const basis::BasisSet& bs,
   const std::size_t nbf = bs.nbf();
   MC_CHECK(static_cast<std::size_t>(nocc) <= nbf,
            "more electron pairs than basis functions");
+  MC_CHECK(options.damping < 1.0, "damping factor must be in [0,1)");
 
   ScfResult res;
   res.nuclear_repulsion = mol.nuclear_repulsion();
 
-  const la::Matrix s = ints::overlap_matrix(bs);
-  const la::Matrix h = ints::core_hamiltonian(bs, mol);
-  const la::Matrix x = la::canonical_orthogonalizer(s, options.lindep_tolerance);
+  // The large matrices are tracked, so each rank's replicated copies show
+  // in MemoryTracker -- the replication pattern of the GAMESS code.
+  const la::Matrix s(ints::overlap_matrix(bs), "overlap");
+  const la::Matrix h(ints::core_hamiltonian(bs, mol), "hcore");
+  const la::Matrix x =
+      la::canonical_orthogonalizer(s, options.lindep_tolerance);
 
-  la::Matrix d;
+  la::Matrix d(nbf, nbf, "density");
   if (seed_density != nullptr) {
     MC_CHECK(seed_density->rows() == nbf && seed_density->cols() == nbf,
              "warm-start seed density has the wrong shape");
-    d = *seed_density;
+    d.copy_values_from(*seed_density);
   } else {
-    d = core_guess_density(h, x, nocc);
+    d.copy_values_from(core_guess_density(h, x, nocc));
   }
-  la::Matrix g(nbf, nbf);
+  la::Matrix g(nbf, nbf, "fock");
   // Incremental-build state: the accumulated *symmetrized* skeleton
   // G_acc = sym(G(D_ref)) + sum sym(G(D_n - D_{n-1})) (symmetrization is
   // linear, so accumulating symmetrized deltas equals symmetrizing the
   // total), the density it corresponds to, and the reset-policy trackers.
-  la::Matrix g_acc(nbf, nbf);
-  la::Matrix d_last(nbf, nbf);
-  la::Matrix d_delta(nbf, nbf);
+  // All of it is updated identically on every rank of a team, so the
+  // full-vs-delta decision agrees across ranks -- a divergent decision
+  // would deadlock the collectives.
+  la::Matrix g_acc(nbf, nbf, "fock_acc");
+  la::Matrix d_last(nbf, nbf, "density_last");
+  la::Matrix d_delta(nbf, nbf, "density_delta");
   int builds_since_full = 0;
   double err_acc = 0.0;
   Diis diis(options.diis_max_vectors);
 
-  // --profile: stream one JSON record per iteration plus a chrome-trace
-  // timeline (DESIGN.md section 10). The serial driver reports a single
-  // rank slot; when called from inside an SPMD body (the test fixtures do
-  // this) the calling rank's slot is used, so only one rank of a team may
-  // profile. The distributed profiled path is core::run_parallel_scf.
-  std::unique_ptr<obs::ProfileSession> profile;
-  if (!options.profile_path.empty()) {
-    profile = std::make_unique<obs::ProfileSession>(options.profile_path);
-  }
+  // Profiling-time state. The predicted total is an O(surviving pairs^2)
+  // sweep, identical on every rank. Channel accumulators are global, so
+  // per-iteration values are deltas against the previous snapshot.
   const int cur_rank = MemoryTracker::current_rank();
   const int prof_rank = cur_rank < 0 ? 0 : cur_rank;
-  std::size_t predicted_quartets = 0;
-  if (profile) {
-    // Profiling-time only: O(surviving pairs^2) sweep over the pair list.
-    predicted_quartets = builder.screening_predicted_quartets();
-  }
-  // Channel accumulators are global; per-iteration values are deltas.
+  const std::size_t predicted_quartets =
+      profile != nullptr ? builder.screening_predicted_quartets() : 0;
   double prev_dlb = 0.0;
   double prev_gsum = 0.0;
   double prev_barrier = 0.0;
@@ -107,6 +124,7 @@ ScfResult run_scf(const chem::Molecule& mol, const basis::BasisSet& bs,
                               err_acc > options.incremental_error_bound;
 
     // Two-electron (skeleton) Fock accumulation -- the timed hot region.
+    // Collective for distributed builders.
     WallTimer fock_timer;
     g.set_zero();
     if (full_rebuild) {
@@ -127,15 +145,21 @@ ScfResult run_scf(const chem::Molecule& mol, const basis::BasisSet& bs,
       g.symmetrize();
       g_acc += g;
       ++builds_since_full;
+    }
+    d_last.copy_values_from(d);
+    // Team-summed counters: the screened count feeds err_acc, so every
+    // rank must see the same value to take the same rebuild decision.
+    const BuildCounts counts = team.sum_counts(
+        {builder.last_quartets_computed(), builder.last_density_screened()});
+    if (!full_rebuild) {
       // Per-element screening-error estimate for the reset policy: every
       // density-screened quartet contributes below threshold * scale;
       // dividing by nbf approximates the scatter fan-out per element.
       err_acc += builder.screening_threshold() *
                  options.incremental_threshold_scale *
-                 static_cast<double>(builder.last_density_screened()) /
+                 static_cast<double>(counts.density_screened) /
                  static_cast<double>(nbf);
     }
-    d_last.copy_values_from(d);
     const double t_fock = fock_timer.seconds();
     res.fock_build_seconds += t_fock;
 
@@ -148,9 +172,8 @@ ScfResult run_scf(const chem::Molecule& mol, const basis::BasisSet& bs,
 
     // DIIS error: FDS - SDF, transformed to the orthonormal basis.
     la::Matrix fds = la::gemm(f, la::gemm(d, s));
-    la::Matrix sdf = fds.transposed();
     la::Matrix err_ao = fds;
-    err_ao -= sdf;
+    err_ao -= fds.transposed();
     la::Matrix err = la::gemm_tn(x, la::gemm(err_ao, x));
 
     la::Matrix f_eff = f;
@@ -159,39 +182,11 @@ ScfResult run_scf(const chem::Molecule& mol, const basis::BasisSet& bs,
       f_eff = diis.extrapolate();
     }
 
-    la::SymEigResult eig;
-    if (options.level_shift > 0.0) {
-      // Shift the virtual block in the orthonormal basis: F' = X^T F X +
-      // shift * P_virt, diagonalized there and back-transformed. Occupied
-      // energies (and the converged density) are unaffected; the
-      // occupied-virtual gap is opened to damp oscillations.
-      la::Matrix fp = la::transform(x, f_eff);
-      fp.symmetrize();
-      la::SymEigResult inner = la::eigh(fp);
-      for (std::size_t k = static_cast<std::size_t>(nocc);
-           k < inner.values.size(); ++k) {
-        inner.values[k] += options.level_shift;
-      }
-      // Rebuild the shifted matrix and rediagonalize via the generalized
-      // path for a uniform code path (cheap at these sizes).
-      la::Matrix shifted(fp.rows(), fp.cols());
-      for (std::size_t a = 0; a < fp.rows(); ++a) {
-        for (std::size_t b = 0; b < fp.cols(); ++b) {
-          double v = 0.0;
-          for (std::size_t k = 0; k < inner.values.size(); ++k) {
-            v += inner.vectors(a, k) * inner.values[k] * inner.vectors(b, k);
-          }
-          shifted(a, b) = v;
-        }
-      }
-      eig = la::eigh(shifted);
-      eig.vectors = la::gemm(x, eig.vectors);
-    } else {
-      eig = la::eigh_generalized(f_eff, x);
-    }
+    // Diagonalization is replicated on every rank (as in GAMESS, where it
+    // is a known scalability limit -- paper section 2).
+    la::SymEigResult eig = la::eigh_generalized(f_eff, x);
     la::Matrix d_new = density_from_coefficients(eig.vectors, nocc);
     if (options.damping > 0.0 && iter > 1) {
-      MC_CHECK(options.damping < 1.0, "damping factor must be in [0,1)");
       la::Matrix mixed = d_new;
       mixed *= (1.0 - options.damping);
       la::Matrix old = d;
@@ -200,13 +195,14 @@ ScfResult run_scf(const chem::Molecule& mol, const basis::BasisSet& bs,
       d_new = std::move(mixed);
     }
 
-    // RMS density change.
+    // RMS density change, maximised over the team so every rank takes the
+    // same convergence decision.
     double rms = 0.0;
     for (std::size_t i = 0; i < d.size(); ++i) {
       const double dv = d_new.data()[i] - d.data()[i];
       rms += dv * dv;
     }
-    rms = std::sqrt(rms / static_cast<double>(d.size()));
+    rms = team.max_density_rms(std::sqrt(rms / static_cast<double>(d.size())));
 
     ScfIterationInfo info;
     info.iteration = iter;
@@ -215,22 +211,24 @@ ScfResult run_scf(const chem::Molecule& mol, const basis::BasisSet& bs,
     info.density_rms = rms;
     info.fock_build_seconds = t_fock;
     info.full_rebuild = full_rebuild;
-    info.quartets_computed = builder.last_quartets_computed();
-    info.density_screened = builder.last_density_screened();
+    info.quartets_computed = counts.quartets;
+    info.density_screened = counts.density_screened;
     res.history.push_back(info);
     if (callbacks.on_iteration) callbacks.on_iteration(info);
 
-    if (profile) {
-      obs::IterationRecord rec;
-      rec.algorithm = builder.name();
-      rec.nranks = 1;
+    if (profile != nullptr) {
+      // This rank's share of the iteration. A team's profiling barriers
+      // add to the barrier channel; that time lands in the *next*
+      // iteration's delta, a deliberate (and tiny) attribution skew.
       obs::RankIterationMetrics rm;
       rm.rank = prof_rank;
       rm.pairs_claimed = builder.last_pairs_claimed();
-      rm.quartets = info.quartets_computed;
+      rm.quartets = builder.last_quartets_computed();
       rm.static_screened = builder.last_static_screened();
-      rm.density_screened = info.density_screened;
+      rm.density_screened = builder.last_density_screened();
       rm.thread_quartets = builder.last_thread_quartets();
+      rm.tile_hits = builder.last_tile_cache_hits();
+      rm.tile_misses = builder.last_tile_cache_misses();
       const double dlb =
           obs::channel_seconds(obs::Channel::kDlbWait, prof_rank);
       const double gsum = obs::channel_seconds(obs::Channel::kGsum, prof_rank);
@@ -245,24 +243,32 @@ ScfResult run_scf(const chem::Molecule& mol, const basis::BasisSet& bs,
       rm.peak_bytes = cur_rank >= 0
                           ? MemoryTracker::instance().rank_peak_bytes(cur_rank)
                           : MemoryTracker::instance().peak_bytes();
-      rec.nthreads = rm.thread_quartets.empty()
-                         ? 1
-                         : static_cast<int>(rm.thread_quartets.size());
-      rec.iteration = iter;
-      rec.energy = e_total;
-      rec.delta_energy = info.delta_energy;
-      rec.density_rms = rms;
-      rec.full_rebuild = full_rebuild;
-      rec.fock_seconds = t_fock;
-      rec.quartets = rm.quartets;
-      rec.static_screened = rm.static_screened;
-      rec.density_screened = rm.density_screened;
-      rec.screening_predicted_quartets = predicted_quartets;
-      rec.ranks.push_back(std::move(rm));
-      profile->write_iteration(rec);
+      std::vector<obs::RankIterationMetrics> ranks =
+          team.gather_metrics(std::move(rm));
+      if (!ranks.empty()) {
+        obs::IterationRecord rec;
+        rec.algorithm = builder.name();
+        rec.nranks = static_cast<int>(ranks.size());
+        rec.iteration = iter;
+        rec.energy = e_total;
+        rec.delta_energy = info.delta_energy;
+        rec.density_rms = rms;
+        rec.full_rebuild = full_rebuild;
+        rec.fock_seconds = t_fock;
+        rec.quartets = info.quartets_computed;
+        rec.density_screened = info.density_screened;
+        rec.screening_predicted_quartets = predicted_quartets;
+        for (const obs::RankIterationMetrics& r : ranks) {
+          rec.static_screened += r.static_screened;
+          const int nthreads = static_cast<int>(r.thread_quartets.size());
+          rec.nthreads = std::max(rec.nthreads, nthreads);
+        }
+        rec.ranks = std::move(ranks);
+        profile->write_iteration(rec);
+      }
     }
 
-    d = std::move(d_new);
+    d.copy_values_from(d_new);
     res.iterations = iter;
     res.energy = e_total;
     res.electronic_energy = e_elec;
@@ -277,8 +283,7 @@ ScfResult run_scf(const chem::Molecule& mol, const basis::BasisSet& bs,
     }
     e_prev = e_total;
   }
-
-  res.density = std::move(d);
+  res.density = d;  // a tracked copy, alive until the caller's snapshot
   return res;
 }
 

@@ -5,11 +5,13 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "basis/basis_set.hpp"
 #include "chem/molecule.hpp"
 #include "la/matrix.hpp"
+#include "obs/metrics.hpp"
 #include "scf/fock_builder.hpp"
 
 namespace mc::scf {
@@ -28,9 +30,6 @@ struct ScfOptions {
   /// Density damping: D <- (1-a) D_new + a D_old. 0 disables (default).
   /// A classic fallback for oscillating SCFs when DIIS struggles.
   double damping = 0.0;
-  /// Level shift added to the virtual-virtual block of the Fock matrix in
-  /// the orthonormal basis (Hartree). 0 disables.
-  double level_shift = 0.0;
 
   /// Incremental (delta-density) Fock builds: after a full build of
   /// F = G(D), subsequent iterations compute only G(D_n - D_{n-1}) under
@@ -91,11 +90,36 @@ struct ScfResult {
   double fock_build_seconds = 0.0;
 };
 
-/// Hooks the distributed SCF path uses to keep ranks in lockstep; the
-/// defaults are no-ops for serial runs.
+/// Caller hooks; the defaults are no-ops.
 struct ScfCallbacks {
   /// Called after each iteration with the info record (e.g. rank-0 logging).
   std::function<void(const ScfIterationInfo&)> on_iteration;
+};
+
+/// Quartet counters of one Fock build that the iteration core needs summed
+/// over an SPMD team.
+struct BuildCounts {
+  std::size_t quartets = 0;          ///< quartets computed
+  std::size_t density_screened = 0;  ///< killed by density screening
+};
+
+/// How run_rhf agrees with the other ranks of its SPMD team. Every rank's
+/// core makes the same calls in the same order, so an implementation over a
+/// communicator issues one collective sequence on every rank. This base
+/// class is the one-process identity that run_scf uses.
+class ScfLockstep {
+ public:
+  virtual ~ScfLockstep() = default;
+  /// Team-wide sum of this iteration's build counters.
+  virtual BuildCounts sum_counts(BuildCounts local) { return local; }
+  /// Team-wide max of the RMS density change (one convergence decision).
+  virtual double max_density_rms(double rms) { return rms; }
+  /// Profiling only: every rank's metrics for this iteration, in rank
+  /// order, on the rank that writes the record; empty on the others.
+  virtual std::vector<obs::RankIterationMetrics> gather_metrics(
+      obs::RankIterationMetrics mine) {
+    return {std::move(mine)};
+  }
 };
 
 /// Run a closed-shell restricted Hartree-Fock SCF.
@@ -109,6 +133,18 @@ struct ScfCallbacks {
 /// (the SCF fixed point does not depend on the starting guess).
 ScfResult run_scf(const chem::Molecule& mol, const basis::BasisSet& bs,
                   FockBuilder& builder, const ScfOptions& options = {},
+                  const ScfCallbacks& callbacks = {},
+                  const la::Matrix* seed_density = nullptr);
+
+/// The RHF iteration core behind run_scf and each rank of
+/// core::run_parallel_scf: one-electron setup, the full-vs-delta Fock
+/// reset policy, DIIS, damping, the convergence test and the per-iteration
+/// records. `team` keeps the ranks in lockstep. When `profile` is non-null
+/// each iteration's metrics are gathered and the writing rank streams the
+/// record to it (options.profile_path is left to the caller).
+ScfResult run_rhf(const chem::Molecule& mol, const basis::BasisSet& bs,
+                  FockBuilder& builder, const ScfOptions& options,
+                  ScfLockstep& team, obs::ProfileSession* profile,
                   const ScfCallbacks& callbacks = {},
                   const la::Matrix* seed_density = nullptr);
 

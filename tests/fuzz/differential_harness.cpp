@@ -36,14 +36,12 @@ struct SweepConfig {
   int nthreads = 1;
   bool dynamic_schedule = true;
   bool lazy_fi_flush = true;
-  bool work_stealing = false;
   core::DistFockOptions dist;
 
   [[nodiscard]] std::string label() const {
     std::ostringstream os;
     os << core::algorithm_name(alg) << "[r" << nranks;
     if (nthreads > 1) os << ",t" << nthreads;
-    if (work_stealing) os << ",steal";
     if (!dynamic_schedule) os << ",static";
     if (!lazy_fi_flush) os << ",eager-fi";
     if (alg == core::ScfAlgorithm::kDistFock) {
@@ -78,7 +76,6 @@ std::vector<SweepConfig> draw_configs(core::ScfAlgorithm alg,
     cfg.nthreads = 1 + static_cast<int>(r.below(3));
     cfg.dynamic_schedule = r.chance(1, 2);
     cfg.lazy_fi_flush = r.chance(3, 4);
-    cfg.work_stealing = r.chance(1, 3);
     cfg.dist.prefetch_depth = static_cast<int>(r.below(4));
     cfg.dist.dynamic_lb = r.chance(1, 2);
     // Adversarially small tile caches included: 1-tile and 2-tile budgets
@@ -113,10 +110,7 @@ BuildOutcome run_build(const SweepConfig& cfg, const ints::EriEngine& eri,
       std::unique_ptr<scf::FockBuilder> builder;
       switch (cfg.alg) {
         case core::ScfAlgorithm::kMpiOnly:
-          builder = std::make_unique<core::FockBuilderMpi>(
-              eri, screen, ddi,
-              cfg.work_stealing ? core::MpiLoadBalance::kWorkStealing
-                                : core::MpiLoadBalance::kDlbCounter);
+          builder = std::make_unique<core::FockBuilderMpi>(eri, screen, ddi);
           break;
         case core::ScfAlgorithm::kPrivateFock: {
           core::PrivateFockOptions po;

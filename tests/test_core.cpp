@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <numeric>
+#include <string>
 
 #include "basis/basis_set.hpp"
 #include "chem/builders.hpp"
@@ -23,10 +24,11 @@ using Fixture = FockFixture;
 
 class AlgorithmGrid
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
+// MPI-only has no thread dimension: its grid is the rank axis alone.
+class MpiOnlyGrid : public ::testing::TestWithParam<int> {};
 
-TEST_P(AlgorithmGrid, MpiOnlyMatchesSerial) {
-  const auto [nranks, nthreads] = GetParam();
-  if (nthreads > 1) GTEST_SKIP() << "MPI-only has no thread dimension";
+TEST_P(MpiOnlyGrid, MpiOnlyMatchesSerial) {
+  const int nranks = GetParam();
   Fixture fx(chem::builders::water(), "6-31G");
   la::Matrix g = build_distributed(fx, nranks, [&](par::Ddi& ddi) {
     return std::make_unique<FockBuilderMpi>(fx.eri, fx.screen, ddi);
@@ -59,6 +61,8 @@ TEST_P(AlgorithmGrid, SharedFockMatchesSerial) {
 INSTANTIATE_TEST_SUITE_P(RankThreadGrid, AlgorithmGrid,
                          ::testing::Combine(::testing::Values(1, 2, 3),
                                             ::testing::Values(1, 2, 4)));
+INSTANTIATE_TEST_SUITE_P(RankThreadGrid, MpiOnlyGrid,
+                         ::testing::Values(1, 2, 3));
 
 TEST(AlgorithmEquivalence, DShellSystemAllThreeAgree) {
   // 6-31G(d) methane exercises d-function quartets through every code path.
@@ -79,48 +83,6 @@ TEST(AlgorithmEquivalence, DShellSystemAllThreeAgree) {
   EXPECT_NEAR(g_mpi.max_abs_diff(fx.g_ref), 0.0, 1e-10);
   EXPECT_NEAR(g_priv.max_abs_diff(fx.g_ref), 0.0, 1e-10);
   EXPECT_NEAR(g_sh.max_abs_diff(fx.g_ref), 0.0, 1e-10);
-}
-
-TEST(WorkStealingBuilder, MatchesSerialAndRecordsSteals) {
-  Fixture fx(chem::builders::benzene(), "STO-3G");
-  std::mutex mu;
-  std::size_t total_steals = 0;
-  std::size_t total_pairs = 0;
-  la::Matrix out(fx.bs.nbf(), fx.bs.nbf());
-  par::run_spmd(3, [&](par::Comm& comm) {
-    par::Ddi ddi(comm);
-    FockBuilderMpi b(fx.eri, fx.screen, ddi, MpiLoadBalance::kWorkStealing);
-    la::Matrix g(fx.bs.nbf(), fx.bs.nbf());
-    b.build(fx.d, g);
-    std::lock_guard<std::mutex> lk(mu);
-    total_steals += b.last_pairs_stolen();
-    total_pairs += b.last_pairs_claimed();
-    if (comm.rank() == 0) out = g;
-  });
-  EXPECT_NEAR(out.max_abs_diff(fx.g_ref), 0.0, 1e-10);
-  // Every surviving pair of the compacted Schwarz-sorted list processed
-  // exactly once across ranks.
-  EXPECT_EQ(total_pairs, fx.screen.sorted_pairs().size());
-  // With triangular task sizes, the rank owning the cheap low-index slice
-  // finishes early and steals (overwhelmingly likely; not strictly
-  // deterministic, so only assert when it happened on >=0 pairs).
-  SUCCEED() << "steals observed: " << total_steals;
-}
-
-TEST(WorkStealingBuilder, RepeatedBuildsStayCorrect) {
-  // The shared counters are keyed per job; two consecutive builds must not
-  // interfere (regression guard for blackboard reuse).
-  Fixture fx(chem::builders::water(), "STO-3G");
-  par::run_spmd(2, [&](par::Comm& comm) {
-    par::Ddi ddi(comm);
-    FockBuilderMpi b(fx.eri, fx.screen, ddi, MpiLoadBalance::kWorkStealing);
-    la::Matrix g(fx.bs.nbf(), fx.bs.nbf());
-    for (int rep = 0; rep < 3; ++rep) {
-      g.set_zero();
-      b.build(fx.d, g);
-      EXPECT_NEAR(g.max_abs_diff(fx.g_ref), 0.0, 1e-10) << "rep " << rep;
-    }
-  });
 }
 
 // ---- Shared-Fock internals and ablations ----
@@ -332,15 +294,33 @@ TEST(MemoryModel, AlgorithmNames) {
 
 // ---- End-to-end distributed SCF ----
 
+/// Serial reference, screened like run_parallel_scf unless told otherwise.
+scf::ScfResult serial_scf(
+    const chem::Molecule& mol, const std::string& basis,
+    const scf::ScfOptions& opt = {},
+    double threshold = ParallelScfConfig{}.schwarz_threshold) {
+  auto bs = basis::BasisSet::build(mol, basis);
+  ints::EriEngine eri(bs);
+  ints::Screening screen(eri, threshold);
+  scf::SerialFockBuilder serial(eri, screen);
+  return scf::run_scf(mol, bs, serial, opt);
+}
+
+ParallelScfResult mpi_scf(const chem::Molecule& mol, const std::string& basis,
+                          int nranks, const scf::ScfOptions& opt) {
+  ParallelScfConfig cfg;
+  cfg.algorithm = ScfAlgorithm::kMpiOnly;
+  cfg.nranks = nranks;
+  cfg.basis = basis;
+  cfg.scf = opt;
+  return run_parallel_scf(mol, cfg);
+}
+
 class ParallelScfEndToEnd : public ::testing::TestWithParam<ScfAlgorithm> {};
 
 TEST_P(ParallelScfEndToEnd, ConvergesToSerialEnergy) {
   auto mol = chem::builders::water();
-  auto bs = basis::BasisSet::build(mol, "STO-3G");
-  ints::EriEngine eri(bs);
-  ints::Screening screen(eri, 1e-11);
-  scf::SerialFockBuilder serial(eri, screen);
-  scf::ScfResult ref = scf::run_scf(mol, bs, serial);
+  scf::ScfResult ref = serial_scf(mol, "STO-3G", {}, 1e-11);
   ASSERT_TRUE(ref.converged);
 
   ParallelScfConfig cfg;
@@ -394,11 +374,7 @@ TEST(ParallelScf, DShellFullScfAcrossAlgorithms) {
   // Full SCF with d functions through every parallel code path (the grid
   // tests cover single G builds; this drives whole iterations).
   auto mol = chem::builders::methane();
-  auto bs = basis::BasisSet::build(mol, "6-31G(d)");
-  ints::EriEngine eri(bs);
-  ints::Screening screen(eri, 1e-11);
-  scf::SerialFockBuilder serial(eri, screen);
-  scf::ScfResult ref = scf::run_scf(mol, bs, serial);
+  scf::ScfResult ref = serial_scf(mol, "6-31G(d)", {}, 1e-11);
   ASSERT_TRUE(ref.converged);
 
   for (auto alg :
@@ -412,6 +388,159 @@ TEST(ParallelScf, DShellFullScfAcrossAlgorithms) {
     ParallelScfResult res = run_parallel_scf(mol, cfg);
     EXPECT_TRUE(res.scf.converged) << algorithm_name(alg);
     EXPECT_NEAR(res.scf.energy, ref.energy, 1e-8) << algorithm_name(alg);
+  }
+}
+
+// ---- One RHF core behind both drivers ----
+
+TEST(DriverParity, OneRankMpiRetracesSerialBitForBit) {
+  // One MPI-only rank builds the serial skeleton bit for bit (see
+  // EquivalenceExact) and a one-rank lockstep is exact, so both drivers
+  // must walk the same trajectory to the last bit.
+  const chem::Molecule mol = chem::builders::methane();
+  for (const char* basis : {"STO-3G", "6-31G(d)"}) {
+    for (bool incremental : {false, true}) {
+      scf::ScfOptions opt;
+      opt.incremental_fock = incremental;
+      SCOPED_TRACE(std::string(basis) +
+                   (incremental ? " incremental" : " full"));
+      const scf::ScfResult ref = serial_scf(mol, basis, opt);
+      const scf::ScfResult got = mpi_scf(mol, basis, 1, opt).scf;
+      ASSERT_TRUE(ref.converged);
+      ASSERT_EQ(got.history.size(), ref.history.size());
+      for (std::size_t k = 0; k < ref.history.size(); ++k) {
+        SCOPED_TRACE("iteration " + std::to_string(k + 1));
+        EXPECT_EQ(got.history[k].energy, ref.history[k].energy);
+        EXPECT_EQ(got.history[k].full_rebuild, ref.history[k].full_rebuild);
+      }
+    }
+  }
+}
+
+TEST(DriverParity, ParallelDriverHonoursDamping) {
+  scf::ScfOptions opt;
+  opt.use_diis = false;
+  opt.damping = 0.3;
+  opt.max_iterations = 200;
+  const chem::Molecule mol = chem::builders::water();
+  const scf::ScfResult ref = serial_scf(mol, "STO-3G", opt);
+  const scf::ScfResult got = mpi_scf(mol, "STO-3G", 2, opt).scf;
+  ASSERT_TRUE(ref.converged);
+  EXPECT_TRUE(got.converged);
+  EXPECT_EQ(got.iterations, ref.iterations);
+  EXPECT_NEAR(got.energy, ref.energy, 1e-9);
+
+  opt.damping = 1.5;
+  EXPECT_THROW(mpi_scf(mol, "STO-3G", 2, opt), mc::Error);
+}
+
+TEST(DriverParity, RankSummedCountsMatchSerial) {
+  // Full builds compute the same screened quartet set however the pairs
+  // are dealt out, so every iteration's team-summed count is the serial one.
+  scf::ScfOptions opt;
+  opt.incremental_fock = false;
+  opt.max_iterations = 5;
+  const chem::Molecule mol = chem::builders::water();
+  const scf::ScfResult ref = serial_scf(mol, "6-31G", opt);
+  const ParallelScfResult got = mpi_scf(mol, "6-31G", 3, opt);
+  ASSERT_EQ(ref.history.size(), 5u);
+  ASSERT_EQ(got.scf.history.size(), ref.history.size());
+  for (std::size_t k = 0; k < ref.history.size(); ++k) {
+    EXPECT_GT(ref.history[k].quartets_computed, 0u);
+    EXPECT_EQ(got.scf.history[k].quartets_computed,
+              ref.history[k].quartets_computed)
+        << "iteration " << k + 1;
+  }
+  // The final build's per-rank shares add up to the same total.
+  EXPECT_EQ(std::accumulate(got.quartets_per_rank.begin(),
+                            got.quartets_per_rank.end(), std::size_t{0}),
+            ref.history.back().quartets_computed);
+}
+
+TEST(DriverParity, WarmStartSeedRetracesSerial) {
+  // The seed density enters the core the same way from either driver.
+  const chem::Molecule mol = chem::builders::water();
+  const scf::ScfResult cold = serial_scf(mol, "STO-3G");
+  ASSERT_TRUE(cold.converged);
+  auto seed = std::make_shared<const la::Matrix>(cold.density);
+
+  auto bs = basis::BasisSet::build(mol, "STO-3G");
+  ints::EriEngine eri(bs);
+  ints::Screening screen(eri, ParallelScfConfig{}.schwarz_threshold);
+  scf::SerialFockBuilder serial(eri, screen);
+  const scf::ScfResult ref =
+      scf::run_scf(mol, bs, serial, {}, {}, seed.get());
+
+  ParallelScfConfig cfg;
+  cfg.algorithm = ScfAlgorithm::kMpiOnly;
+  cfg.basis = "STO-3G";
+  ParallelScfContext ctx;
+  ctx.seed_density = seed;
+  const scf::ScfResult got = run_parallel_scf(mol, cfg, ctx).scf;
+
+  ASSERT_TRUE(ref.converged);
+  EXPECT_LT(ref.iterations, cold.iterations);
+  ASSERT_EQ(got.history.size(), ref.history.size());
+  for (std::size_t k = 0; k < ref.history.size(); ++k) {
+    EXPECT_EQ(got.history[k].energy, ref.history[k].energy)
+        << "iteration " << k + 1;
+  }
+}
+
+TEST(DriverParity, BothDriversTrackTheSameMatrices) {
+  // The core owns every tracked SCF matrix, so one rank running the same
+  // builder on the same shared setup peaks at the same tracked footprint
+  // under either driver.
+  const chem::Molecule mol = chem::builders::water();
+  ParallelScfConfig cfg;
+  cfg.algorithm = ScfAlgorithm::kMpiOnly;
+  cfg.basis = "6-31G";
+  auto bs = std::make_shared<const basis::BasisSet>(
+      basis::BasisSet::build(mol, cfg.basis));
+  auto eri = std::make_shared<const ints::EriEngine>(*bs);
+  auto screen =
+      std::make_shared<const ints::Screening>(*eri, cfg.schwarz_threshold);
+  ParallelScfContext ctx;
+  ctx.basis_set = bs;
+  ctx.eri = eri;
+  ctx.screening = screen;
+  const ParallelScfResult par = run_parallel_scf(mol, cfg, ctx);
+  ASSERT_TRUE(par.scf.converged);
+
+  MemoryTracker::instance().reset();
+  std::size_t serial_peak = 0;
+  par::run_spmd(1, [&](par::Comm& comm) {
+    par::Ddi ddi(comm);
+    FockBuilderMpi builder(*eri, *screen, ddi);
+    const scf::ScfResult res = scf::run_scf(mol, *bs, builder, cfg.scf);
+    EXPECT_TRUE(res.converged);
+    serial_peak = MemoryTracker::instance().rank_peak_bytes(comm.rank());
+  });
+  const std::size_t nbf = bs->nbf();
+  // overlap, hcore, density, fock, fock_acc, density_last, density_delta
+  EXPECT_GE(serial_peak, 7 * nbf * nbf * sizeof(double));
+  EXPECT_EQ(serial_peak, par.peak_bytes_per_rank[0]);
+}
+
+TEST(DriverParity, ProfilingLeavesTrajectoryUnchanged) {
+  // Profiling adds the metrics gather (two barriers per iteration) and
+  // nothing else. Two ranks claim pairs in a timing-dependent order, so
+  // the energies agree to reassociation round-off, not bit for bit.
+  scf::ScfOptions opt;
+  opt.incremental_fock = false;
+  const chem::Molecule mol = chem::builders::water();
+  const scf::ScfResult plain = mpi_scf(mol, "STO-3G", 2, opt).scf;
+  opt.profile_path = ::testing::TempDir() + "mc_core_parity_profile";
+  const scf::ScfResult profiled = mpi_scf(mol, "STO-3G", 2, opt).scf;
+  ASSERT_TRUE(plain.converged);
+  EXPECT_TRUE(profiled.converged);
+  ASSERT_EQ(profiled.history.size(), plain.history.size());
+  for (std::size_t k = 0; k < plain.history.size(); ++k) {
+    EXPECT_NEAR(profiled.history[k].energy, plain.history[k].energy, 1e-10)
+        << "iteration " << k + 1;
+    EXPECT_EQ(profiled.history[k].quartets_computed,
+              plain.history[k].quartets_computed)
+        << "iteration " << k + 1;
   }
 }
 

@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/error.hpp"
 #include "fock_fixture.hpp"
@@ -92,24 +93,33 @@ la::Matrix build(const FockFixture& fx, Alg alg, int nranks, int nthreads,
 
 using SweepParam = std::tuple<Alg, int, int, bool, bool>;
 
-class EquivalenceSweep : public ::testing::TestWithParam<SweepParam> {
- protected:
-  // MPI-only has no thread/schedule/flush dimensions: keep exactly one
-  // representative per rank count so the sweep has no duplicate work.
-  static bool redundant(const SweepParam& p) {
-    const auto [alg, nranks, nthreads, dyn, lazy] = p;
-    if (alg == Alg::kMpi) return nthreads != 1 || dyn || lazy;
-    if (alg == Alg::kPrivate) return lazy;  // no FI buffer to flush lazily
-    if (alg == Alg::kDist) return nthreads != 1;  // single-threaded ranks
-    return false;
+// The full grid minus the points whose dimension an algorithm lacks.
+// MPI-only has no thread/schedule/flush dimensions: keep exactly one
+// representative per rank count so the sweep has no duplicate work.
+std::vector<SweepParam> applicable_sweep_points() {
+  std::vector<SweepParam> out;
+  for (Alg alg : {Alg::kMpi, Alg::kPrivate, Alg::kShared, Alg::kDist}) {
+    for (int nranks : {1, 2, 4}) {
+      for (int nthreads : {1, 2, 4}) {
+        for (bool dyn : {false, true}) {
+          for (bool lazy : {false, true}) {
+            const bool redundant =
+                (alg == Alg::kMpi && (nthreads != 1 || dyn || lazy)) ||
+                (alg == Alg::kPrivate && lazy) ||  // no FI buffer to flush
+                (alg == Alg::kDist && nthreads != 1);  // one thread per rank
+            if (!redundant) out.emplace_back(alg, nranks, nthreads, dyn, lazy);
+          }
+        }
+      }
+    }
   }
-};
+  return out;
+}
+
+class EquivalenceSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(EquivalenceSweep, SkeletonBitComparableToSerial) {
   const auto [alg, nranks, nthreads, dyn, lazy] = GetParam();
-  if (redundant(GetParam())) {
-    GTEST_SKIP() << "dimension not applicable to " << alg_name(alg);
-  }
   const FockFixture& fx = water_sto3g();
   const la::Matrix g = build(fx, alg, nranks, nthreads, dyn, lazy);
   const std::string what =
@@ -119,14 +129,8 @@ TEST_P(EquivalenceSweep, SkeletonBitComparableToSerial) {
   expect_bit_comparable(g, fx.g_ref, kMaxSkeletonUlps, what);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    RankThreadScheduleGrid, EquivalenceSweep,
-    ::testing::Combine(::testing::Values(Alg::kMpi, Alg::kPrivate,
-                                         Alg::kShared, Alg::kDist),
-                       ::testing::Values(1, 2, 4),   // ranks
-                       ::testing::Values(1, 2, 4),   // threads
-                       ::testing::Bool(),            // dynamic schedule
-                       ::testing::Bool()));          // lazy FI flush
+INSTANTIATE_TEST_SUITE_P(RankThreadScheduleGrid, EquivalenceSweep,
+                         ::testing::ValuesIn(applicable_sweep_points()));
 
 // ---- Deterministic configurations must reproduce the serial bits ----
 

@@ -107,13 +107,14 @@ TEST(PairLists, BraGroupedKeepsEachShellContiguous) {
   EXPECT_TRUE(closed_groups.insert(current).second);
 }
 
-TEST(PairLists, DecodeTableMatchesUnpackPair) {
+TEST(PairLists, DecodeTableMatchesNestedEnumeration) {
   FockFixture fx(chem::builders::water(), "6-31G");
   const std::size_t ns = fx.screen.nshells();
-  for (std::size_t p = 0; p < ns * (ns + 1) / 2; ++p) {
-    std::size_t i, j;
-    scf::unpack_pair(p, i, j);
-    EXPECT_EQ(fx.screen.pair_shells(p), std::make_pair(i, j));
+  std::size_t p = 0;
+  for (std::size_t i = 0; i < ns; ++i) {
+    for (std::size_t j = 0; j <= i; ++j, ++p) {
+      EXPECT_EQ(fx.screen.pair_shells(p), std::make_pair(i, j));
+    }
   }
 }
 

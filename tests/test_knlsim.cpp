@@ -17,7 +17,6 @@
 #include "knlsim/knl_config.hpp"
 #include "knlsim/simulator.hpp"
 #include "knlsim/workload.hpp"
-#include "scf/fock_builder.hpp"
 
 namespace mc::knlsim {
 namespace {
@@ -146,8 +145,8 @@ TEST(Workload, RadialQBoundsMatchExactSchwarz) {
   std::size_t checked = 0;
   double log_ratio_sum = 0.0;
   for (const PairTask& t : wl.pairs()) {
-    std::size_t i, j;
-    mc::scf::unpack_pair(t.idx, i, j);
+    const std::size_t i = t.i;
+    const std::size_t j = t.idx - i * (i + 1) / 2;
     const double qe = exact.q(i, j);
     if (qe < 1e-8) continue;  // interpolation noise region
     const double ratio = t.q / qe;

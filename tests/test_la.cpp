@@ -9,7 +9,6 @@
 #include "la/blas_lite.hpp"
 #include "la/matrix.hpp"
 #include "la/orthogonalizer.hpp"
-#include "la/packed.hpp"
 #include "la/solve.hpp"
 #include "la/sym_eig.hpp"
 
@@ -260,22 +259,6 @@ TEST(Orthogonalizer, SymPowInverseSquareRootSquares) {
   Matrix s = random_spd(7, 12);
   Matrix shalf = sym_pow(s, 0.5);
   EXPECT_NEAR(gemm(shalf, shalf).max_abs_diff(s), 0.0, 1e-9);
-}
-
-// ---- Packed storage ----
-
-TEST(Packed, RoundTrip) {
-  Matrix a = random_symmetric(9, 77);
-  PackedSymMatrix p = PackedSymMatrix::pack(a);
-  EXPECT_EQ(p.packed_size(), 45u);
-  EXPECT_NEAR(p.unpack().max_abs_diff(a), 0.0, 1e-15);
-}
-
-TEST(Packed, IndexConvention) {
-  EXPECT_EQ(PackedSymMatrix::index(0, 0), 0u);
-  EXPECT_EQ(PackedSymMatrix::index(1, 0), 1u);
-  EXPECT_EQ(PackedSymMatrix::index(1, 1), 2u);
-  EXPECT_EQ(PackedSymMatrix::index(0, 1), 1u);  // symmetric access
 }
 
 }  // namespace

@@ -211,12 +211,11 @@ TEST(BuildChecker, FinalizeThrowsOnViolation) {
 
 // ---- Checked annotation types trap misuse ----
 
-TEST(SharedReadOnly, TwoPhaseInitTrapsMisuse) {
+TEST(SharedReadOnly, ReadBeforeInitTraps) {
   acc::SharedReadOnly<long, true> v;
   EXPECT_THROW((void)v.get(), mc::Error);
-  v.init_once(42);
-  EXPECT_EQ(v.get(), 42);
-  EXPECT_THROW(v.init_once(43), mc::Error);
+  const acc::SharedReadOnly<long, true> set(42);
+  EXPECT_EQ(set.get(), 42);
 }
 
 // ---- A toy Algorithm-3-style protocol through the checked types ----

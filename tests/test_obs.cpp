@@ -9,12 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "chem/builders.hpp"
@@ -69,6 +71,70 @@ TEST(Trace, RecordsScopedEventsAndExportsChromeTrace) {
   EXPECT_NE(json.find("process_name"), std::string::npos);     // rank metadata
   EXPECT_EQ(json.back(), '\n');
   EXPECT_EQ(json[json.size() - 2], '}');
+}
+
+/// A numeric field ("ts", "dur") of the named span in an exported chrome
+/// trace; -1 if the span is missing. Every event writes its name first.
+double span_field(const std::string& json, const std::string& span,
+                  const std::string& key) {
+  const std::size_t at = json.find("\"" + span + "\"");
+  if (at == std::string::npos) return -1.0;
+  const std::string needle = "\"" + key + "\":";
+  return std::stod(json.substr(json.find(needle, at) + needle.size()));
+}
+
+TEST(Trace, NestedSpansExportOrderedTimestamps) {
+  ObsFlagGuard guard;
+  obs::set_trace_enabled(true);
+  obs::reset_trace();
+  {
+    MC_OBS_TRACE("outer-span");
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    {
+      MC_OBS_TRACE("inner-span");
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  obs::set_trace_enabled(false);
+  std::ostringstream os;
+  obs::write_chrome_trace(os);
+  const std::string json = os.str();
+
+  // A real timeline: the earliest event opens it at 0 and the child sits
+  // inside its parent.
+  const double outer_ts = span_field(json, "outer-span", "ts");
+  const double inner_ts = span_field(json, "inner-span", "ts");
+  EXPECT_EQ(outer_ts, 0.0);
+  EXPECT_LT(outer_ts, inner_ts);
+  EXPECT_LE(inner_ts + span_field(json, "inner-span", "dur"),
+            outer_ts + span_field(json, "outer-span", "dur"));
+}
+
+TEST(Trace, ExportEpochIsEarliestEventOnAnyThread) {
+  ObsFlagGuard guard;
+  obs::set_trace_enabled(true);
+  { MC_OBS_TRACE("register-this-thread"); }
+  obs::reset_trace();
+  // The worker's buffer registers after this thread's, yet holds the
+  // earliest event: the epoch is a minimum over every buffer, not the
+  // first event exported.
+  std::thread worker([] {
+    MC_OBS_TRACE("early-span");
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  worker.join();
+  { MC_OBS_TRACE("late-span"); }
+  obs::set_trace_enabled(false);
+  std::ostringstream os;
+  obs::write_chrome_trace(os);
+  const std::string json = os.str();
+
+  const double early_ts = span_field(json, "early-span", "ts");
+  const double late_ts = span_field(json, "late-span", "ts");
+  EXPECT_LT(json.find("\"late-span\""), json.find("\"early-span\""));
+  EXPECT_EQ(early_ts, 0.0);
+  EXPECT_GE(late_ts, early_ts + span_field(json, "early-span", "dur"));
 }
 
 TEST(Trace, SpanDurationsAreNonNegativeAndOrdered) {
@@ -449,6 +515,33 @@ TEST(Profile, ParallelBenzeneRunSatisfiesAcceptanceChecks) {
   EXPECT_NE(json.find("\"fock:shared:ij_task\""), std::string::npos);
   EXPECT_NE(json.find("\"gsumf\""), std::string::npos);
   EXPECT_NE(json.find("\"scf:iteration\""), std::string::npos);
+}
+
+TEST(Profile, RecordThreadCountIsWidestRankThreadSplit) {
+  // A record's nthreads counts the threads that computed quartets, so a
+  // single-threaded builder reports 1 whatever the config asked for.
+  ObsFlagGuard guard;
+  auto nthreads_of = [](ScfAlgorithm alg, int nranks, const char* tag) {
+    const std::string base = ::testing::TempDir() + tag;
+    ParallelScfConfig cfg;
+    cfg.algorithm = alg;
+    cfg.nranks = nranks;
+    cfg.nthreads = 2;
+    cfg.basis = "STO-3G";
+    cfg.scf.max_iterations = 2;
+    cfg.scf.profile_path = base;
+    run_parallel_scf(chem::builders::water(), cfg);
+    std::ifstream in(base + ".metrics.jsonl");
+    std::vector<std::size_t> out;
+    for (std::string line; std::getline(in, line);) {
+      out.push_back(extract_size(line, "nthreads"));
+    }
+    return out;
+  };
+  EXPECT_EQ(nthreads_of(ScfAlgorithm::kMpiOnly, 2, "mc_obs_nthreads_mpi"),
+            (std::vector<std::size_t>{1, 1}));
+  EXPECT_EQ(nthreads_of(ScfAlgorithm::kSharedFock, 1, "mc_obs_nthreads_shared"),
+            (std::vector<std::size_t>{2, 2}));
 }
 
 TEST(Profile, ParallelResultCarriesPerRankWaitTimes) {

@@ -5,9 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <mutex>
-#include <thread>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -17,7 +15,6 @@
 #include "la/matrix.hpp"
 #include "par/ddi.hpp"
 #include "par/runtime.hpp"
-#include "par/work_stealing.hpp"
 
 namespace mc::par {
 namespace {
@@ -222,74 +219,6 @@ TEST(Blackboard, DistinctKeysAreDistinctObjects) {
     auto a2 = comm.get_or_create_shared<std::atomic<long>>("a", 7L);
     EXPECT_EQ(a2->load(), 7);
   });
-}
-
-// ---- Work stealing ----
-
-TEST(WorkStealing, EveryTaskIssuedExactlyOnce) {
-  const long ntasks = 500;
-  std::mutex mu;
-  std::vector<long> claimed;
-  run_spmd(4, [&](Comm& comm) {
-    WorkStealingScheduler sched(comm, "ws-test", ntasks);
-    std::vector<long> mine;
-    for (long t = sched.next(); t >= 0; t = sched.next()) {
-      mine.push_back(t);
-    }
-    sched.release();
-    std::lock_guard<std::mutex> lk(mu);
-    claimed.insert(claimed.end(), mine.begin(), mine.end());
-  });
-  std::sort(claimed.begin(), claimed.end());
-  ASSERT_EQ(claimed.size(), static_cast<std::size_t>(ntasks));
-  for (long t = 0; t < ntasks; ++t) {
-    EXPECT_EQ(claimed[static_cast<std::size_t>(t)], t);
-  }
-}
-
-TEST(WorkStealing, SlowRankGetsRobbed) {
-  // Rank 0 sleeps per task; the others must steal from its slice so the
-  // schedule still drains, and at least one steal is recorded.
-  const long ntasks = 64;
-  std::atomic<long> total_steals{0};
-  run_spmd(4, [&](Comm& comm) {
-    WorkStealingScheduler sched(comm, "ws-slow", ntasks);
-    for (long t = sched.next(); t >= 0; t = sched.next()) {
-      if (comm.rank() == 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(3));
-      }
-    }
-    total_steals += sched.steals();
-    sched.release();
-  });
-  EXPECT_GT(total_steals.load(), 0);
-}
-
-TEST(WorkStealing, CountersUnitBehaviour) {
-  StealingCounters c(2, 10);
-  EXPECT_EQ(c.remaining(0), 5);
-  EXPECT_EQ(c.remaining(1), 5);
-  // Rank 0 drains its slice [0,5).
-  for (long expect = 0; expect < 5; ++expect) {
-    EXPECT_EQ(c.next(0), expect);
-  }
-  // Next claim steals from rank 1's slice [5,10).
-  const long stolen = c.next(0);
-  EXPECT_GE(stolen, 5);
-  EXPECT_LT(stolen, 10);
-  EXPECT_EQ(c.steals(0), 1);
-  EXPECT_EQ(c.steals(1), 0);
-  // Drain everything; then both get -1.
-  while (c.next(0) >= 0) {
-  }
-  EXPECT_EQ(c.next(0), -1);
-  EXPECT_EQ(c.next(1), -1);
-}
-
-TEST(WorkStealing, ZeroTasks) {
-  StealingCounters c(3, 0);
-  EXPECT_EQ(c.next(0), -1);
-  EXPECT_EQ(c.next(2), -1);
 }
 
 TEST(Ddi, FacadeMapsToCommOperations) {

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include "basis/basis_set.hpp"
 #include "chem/builders.hpp"
@@ -192,20 +196,185 @@ TEST(Scf, DampingConvergesToSameEnergy) {
   EXPECT_NEAR(a.energy, b.energy, 1e-7);
 }
 
-TEST(Scf, LevelShiftConvergesToSameEnergy) {
-  ScfOptions opt;
-  opt.level_shift = 0.5;
-  ScfResult shifted = run_serial(water_crawford(), "STO-3G", opt);
-  ScfResult plain = run_serial(water_crawford(), "STO-3G");
-  ASSERT_TRUE(shifted.converged);
-  EXPECT_NEAR(shifted.energy, plain.energy, 1e-7);
-}
-
 TEST(Scf, BadDampingRejected) {
   ScfOptions opt;
   opt.use_diis = false;
   opt.damping = 1.5;
   EXPECT_THROW(run_serial(chem::builders::h2(), "STO-3G", opt), mc::Error);
+}
+
+TEST(Scf, OrbitalEnergiesDiagonalizeConvergedFock) {
+  // Every reported orbital energy, virtual ones included, is an eigenvalue
+  // of the converged Fock matrix: C^T F C = diag(eps) with C^T S C = 1.
+  auto mol = chem::builders::water();
+  auto bs = basis::BasisSet::build(mol, "6-31G");
+  ScfResult r = run_serial(mol, "6-31G");
+  ASSERT_TRUE(r.converged);
+  const std::size_t nbf = bs.nbf();
+  ASSERT_EQ(r.orbital_energies.size(), nbf);
+  const la::Matrix c = r.mo_coefficients;
+  const la::Matrix fmo = la::gemm_tn(c, la::gemm(r.fock, c));
+  const la::Matrix smo = la::gemm_tn(c, la::gemm(ints::overlap_matrix(bs), c));
+  for (std::size_t p = 0; p < nbf; ++p) {
+    EXPECT_NEAR(fmo(p, p), r.orbital_energies[p], 1e-6) << "orbital " << p;
+    EXPECT_NEAR(smo(p, p), 1.0, 1e-10) << "orbital " << p;
+    for (std::size_t q = 0; q < p; ++q) {
+      EXPECT_NEAR(fmo(p, q), 0.0, 1e-6) << p << "," << q;
+    }
+  }
+  EXPECT_TRUE(std::is_sorted(r.orbital_energies.begin(),
+                             r.orbital_energies.end()));
+}
+
+// ---- The iteration core's team contract (ScfLockstep) ----
+
+/// A one-process stand-in for an SPMD team. Each hook reports what other
+/// ranks would have contributed, so a solo run shows which of the core's
+/// decisions follow the team-wide values.
+class FakeTeam : public ScfLockstep {
+ public:
+  std::size_t peer_density_screened = 0;  ///< added to the summed count
+  double peer_rms = 0.0;                  ///< largest RMS of the other ranks
+  int peers = 0;                          ///< gathered ranks besides this one
+  bool writes_record = true;              ///< false: a non-writing rank
+
+  BuildCounts sum_counts(BuildCounts local) override {
+    local.density_screened += peer_density_screened;
+    return local;
+  }
+  double max_density_rms(double rms) override {
+    return std::max(rms, peer_rms);
+  }
+  std::vector<obs::RankIterationMetrics> gather_metrics(
+      obs::RankIterationMetrics mine) override {
+    if (!writes_record) return {};
+    std::vector<obs::RankIterationMetrics> all{mine};
+    for (int p = 1; p <= peers; ++p) {
+      obs::RankIterationMetrics peer = mine;
+      peer.rank = p;
+      peer.static_screened += static_cast<std::size_t>(p);
+      peer.thread_quartets.assign(static_cast<std::size_t>(p + 1), 0);
+      all.push_back(peer);
+    }
+    return all;
+  }
+};
+
+ScfResult run_water_with_team(ScfLockstep& team, const ScfOptions& opt,
+                              obs::ProfileSession* profile = nullptr) {
+  auto mol = chem::builders::water();
+  auto bs = basis::BasisSet::build(mol, "STO-3G");
+  ints::EriEngine eri(bs);
+  ints::Screening screen(eri, 1e-12);
+  SerialFockBuilder builder(eri, screen);
+  return run_rhf(mol, bs, builder, opt, team, profile);
+}
+
+std::vector<std::string> read_lines(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << path;
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+std::size_t json_size(const std::string& line, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t pos = line.find(needle);
+  EXPECT_NE(pos, std::string::npos) << "missing key " << key;
+  if (pos == std::string::npos) return 0;
+  return static_cast<std::size_t>(
+      std::stoull(line.substr(pos + needle.size())));
+}
+
+TEST(ScfLockstep, ConvergenceWaitsForTheTeamRms) {
+  ScfLockstep solo;
+  const ScfResult alone = run_water_with_team(solo, {});
+  ASSERT_TRUE(alone.converged);
+
+  // A peer that never settles holds every rank in the loop, but only the
+  // convergence decision reads the team RMS: the trajectory is unchanged.
+  FakeTeam team;
+  team.peer_rms = 1.0;
+  ScfOptions opt;
+  opt.max_iterations = alone.iterations + 3;
+  const ScfResult held = run_water_with_team(team, opt);
+  EXPECT_FALSE(held.converged);
+  ASSERT_EQ(held.iterations, opt.max_iterations);
+  for (std::size_t k = 0; k < alone.history.size(); ++k) {
+    EXPECT_EQ(held.history[k].energy, alone.history[k].energy) << k;
+    EXPECT_EQ(held.history[k].density_rms, 1.0) << k;
+  }
+}
+
+TEST(ScfLockstep, TeamScreenedCountDrivesResetPolicy) {
+  ScfLockstep solo;
+  const ScfResult alone = run_water_with_team(solo, {});
+  ASSERT_TRUE(alone.converged);
+  bool consecutive_deltas = false;
+  for (std::size_t k = 1; k < alone.history.size(); ++k) {
+    consecutive_deltas = consecutive_deltas ||
+                         (!alone.history[k - 1].full_rebuild &&
+                          !alone.history[k].full_rebuild);
+  }
+  ASSERT_TRUE(consecutive_deltas);
+
+  // Peers that density-screened many quartets push the accumulated error
+  // estimate past its bound after every delta build, so the next build is a
+  // full rebuild on every rank.
+  FakeTeam team;
+  team.peer_density_screened = 1000000000;
+  const ScfResult r = run_water_with_team(team, {});
+  ASSERT_TRUE(r.converged);
+  EXPECT_NEAR(r.energy, alone.energy, 1e-9);
+  EXPECT_TRUE(r.history.front().full_rebuild);
+  for (std::size_t k = 1; k < r.history.size(); ++k) {
+    EXPECT_GE(r.history[k].density_screened, team.peer_density_screened);
+    if (!r.history[k - 1].full_rebuild) {
+      EXPECT_TRUE(r.history[k].full_rebuild) << "iteration " << k + 1;
+    }
+  }
+}
+
+TEST(ScfLockstep, WritingRankAssemblesRecordFromGatheredRanks) {
+  const std::string base = ::testing::TempDir() + "mc_scf_team_record";
+  FakeTeam team;
+  team.peers = 2;
+  ScfOptions opt;
+  opt.max_iterations = 3;
+  {
+    obs::ProfileSession session(base);
+    const ScfResult r = run_water_with_team(team, opt, &session);
+    EXPECT_EQ(r.iterations, 3);
+  }
+  const std::vector<std::string> lines = read_lines(base + ".metrics.jsonl");
+  ASSERT_EQ(lines.size(), 3u);
+  for (const std::string& line : lines) {
+    EXPECT_EQ(json_size(line, "nranks"), 3u);
+    // The widest gathered thread split: peer 2 reported three threads.
+    EXPECT_EQ(json_size(line, "nthreads"), 3u);
+    // Static screening is summed over the gathered ranks (peers add 1, 2).
+    const std::size_t ranks_at = line.find("\"ranks\":[");
+    ASSERT_NE(ranks_at, std::string::npos);
+    const std::size_t mine = json_size(line.substr(ranks_at),
+                                       "static_screened");
+    EXPECT_EQ(json_size(line, "static_screened"), 3 * mine + 3);
+  }
+}
+
+TEST(ScfLockstep, NonWritingRankWritesNoRecord) {
+  const std::string base = ::testing::TempDir() + "mc_scf_team_silent";
+  FakeTeam team;
+  team.writes_record = false;
+  ScfOptions opt;
+  opt.max_iterations = 3;
+  {
+    obs::ProfileSession session(base);
+    const ScfResult r = run_water_with_team(team, opt, &session);
+    EXPECT_EQ(r.iterations, 3);
+    EXPECT_EQ(r.history.size(), 3u);
+  }
+  EXPECT_TRUE(read_lines(base + ".metrics.jsonl").empty());
 }
 
 // ---- Builder equivalence ----
@@ -263,19 +432,7 @@ TEST(Scf, ScreeningDoesNotChangeEnergy) {
   EXPECT_LT(b2.last_quartets_computed(), tight_quartets);
 }
 
-// ---- Helpers: pair index round trip ----
-
-TEST(FockCommon, PairIndexRoundTrip) {
-  std::size_t pair = 0;
-  for (std::size_t i = 0; i < 80; ++i) {
-    for (std::size_t j = 0; j <= i; ++j, ++pair) {
-      std::size_t ii, jj;
-      unpack_pair(pair, ii, jj);
-      EXPECT_EQ(ii, i);
-      EXPECT_EQ(jj, j);
-    }
-  }
-}
+// ---- Helpers: canonical quartet enumeration ----
 
 TEST(FockCommon, KlCountMatchesEnumeration) {
   for (std::size_t i = 0; i < 12; ++i) {

@@ -29,14 +29,6 @@ TEST(TsanProtocol, MpiDlbCounterTwoRanks) {
   expect_bit_comparable(g, fx().g_ref, kMaxSkeletonUlps, "mpi dlb r=2");
 }
 
-TEST(TsanProtocol, MpiWorkStealingThreeRanks) {
-  la::Matrix g = build_distributed(fx(), 3, [&](par::Ddi& ddi) {
-    return std::make_unique<FockBuilderMpi>(fx().eri, fx().screen, ddi,
-                                            MpiLoadBalance::kWorkStealing);
-  });
-  expect_bit_comparable(g, fx().g_ref, kMaxSkeletonUlps, "mpi steal r=3");
-}
-
 TEST(TsanProtocol, PrivateFockTwoRanksFourThreads) {
   for (bool dyn : {true, false}) {
     la::Matrix g = build_distributed(fx(), 2, [&](par::Ddi& ddi) {
