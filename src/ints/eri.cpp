@@ -25,6 +25,46 @@ double EriEngine::quartet_cost_weight(std::size_t si, std::size_t sj,
          static_cast<double>(ket.prims.size()) * bra.ncomp() * ket.ncomp();
 }
 
+OrientedQuartet orient_quartet(const ShellPairList& pairs, std::size_t si,
+                               std::size_t sj, std::size_t sk,
+                               std::size_t sl) {
+  const ShellPairData& ij = pairs.pair(std::max(si, sj), std::min(si, sj));
+  const ShellPairData& kl = pairs.pair(std::max(sk, sl), std::min(sk, sl));
+  auto pair_index = [](const ShellPairData& p) {
+    return p.s1 * (p.s1 + 1) / 2 + p.s2;
+  };
+  const bool kl_outer = ij.lsum() != kl.lsum()
+                            ? kl.lsum() > ij.lsum()
+                            : pair_index(kl) > pair_index(ij);
+  const bool swap_ij = si < sj;
+  const bool swap_kl = sk < sl;
+
+  OrientedQuartet q;
+  q.bra = kl_outer ? &kl : &ij;
+  q.ket = kl_outer ? &ij : &kl;
+  q.in_place = !kl_outer && !swap_ij && !swap_kl;
+  q.n[0] = basis::ncart(swap_ij ? ij.l2 : ij.l1);
+  q.n[1] = basis::ncart(swap_ij ? ij.l1 : ij.l2);
+  q.n[2] = basis::ncart(swap_kl ? kl.l2 : kl.l1);
+  q.n[3] = basis::ncart(swap_kl ? kl.l1 : kl.l2);
+  // pos[a]: the kernel-output axis caller axis a maps to.
+  int pos[4] = {swap_ij ? 1 : 0, swap_ij ? 0 : 1, swap_kl ? 3 : 2,
+                swap_kl ? 2 : 3};
+  if (kl_outer) {
+    for (int& p : pos) p = (p + 2) % 4;
+  }
+  int ext[4];
+  for (int a = 0; a < 4; ++a) ext[pos[a]] = q.n[a];
+  std::size_t kstride[4];
+  std::size_t s = 1;
+  for (int x = 3; x >= 0; --x) {
+    kstride[x] = s;
+    s *= static_cast<std::size_t>(ext[x]);
+  }
+  for (int a = 0; a < 4; ++a) q.stride[a] = kstride[pos[a]];
+  return q;
+}
+
 void compute_eri_canonical(const ShellPairData& bra,
                            const ShellPairData& ket, double* out) {
   // Per-thread scratch: G accumulator, gathered R matrix, and a reused
@@ -39,28 +79,15 @@ void compute_eri_canonical(const ShellPairData& bra,
 
 void EriEngine::compute(std::size_t si, std::size_t sj, std::size_t sk,
                         std::size_t sl, double* out) const {
-  const bool swap_ij = si < sj;
-  const bool swap_kl = sk < sl;
-  const ShellPairData& bra =
-      pairs_.pair(std::max(si, sj), std::min(si, sj));
-  const ShellPairData& ket =
-      pairs_.pair(std::max(sk, sl), std::min(sk, sl));
-
-  if (!swap_ij && !swap_kl) {
-    compute_eri_canonical(bra, ket, out);
+  const OrientedQuartet q = orient_quartet(pairs_, si, sj, sk, sl);
+  if (q.in_place) {
+    compute_eri_canonical(*q.bra, *q.ket, out);
     return;
   }
-
-  const int ni = bs_->shell(si).nfunc();
-  const int nj = bs_->shell(sj).nfunc();
-  const int nk = bs_->shell(sk).nfunc();
-  const int nl = bs_->shell(sl).nfunc();
-
   thread_local std::vector<double> tmp;
-  ensure_batch_size(tmp, static_cast<std::size_t>(ni) * nj * nk * nl);
-  compute_eri_canonical(bra, ket, tmp.data());
-  detail::permute_to_caller(tmp.data(), swap_ij, swap_kl, ni, nj, nk, nl,
-                            out);
+  ensure_batch_size(tmp, batch_size(si, sj, sk, sl));
+  compute_eri_canonical(*q.bra, *q.ket, tmp.data());
+  detail::permute_to_caller(tmp.data(), q, out);
 }
 
 }  // namespace mc::ints

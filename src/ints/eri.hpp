@@ -17,7 +17,8 @@
 
 namespace mc::ints {
 
-/// Grow a quartet batch buffer to at least `n` doubles WITHOUT clearing.
+/// Grow a quartet batch buffer to at least `n` elements WITHOUT clearing
+/// (the batched pipeline sizes its other grow-only scratch the same way).
 ///
 /// Output contract: compute_eri_canonical (and therefore EriEngine::
 /// compute) fully initializes its output -- every one of the `n` batch
@@ -26,7 +27,8 @@ namespace mc::ints {
 /// just to size the buffer; use this helper. The buffer never shrinks, so
 /// after the first few quartets the call is a branch and nothing else.
 /// Elements beyond `n` are stale -- consumers must index only [0, n).
-inline void ensure_batch_size(std::vector<double>& buf, std::size_t n) {
+template <typename T>
+void ensure_batch_size(std::vector<T>& buf, std::size_t n) {
   if (buf.size() < n) buf.resize(n);
 }
 
@@ -34,11 +36,36 @@ inline void ensure_batch_size(std::vector<double>& buf, std::size_t n) {
 /// precomputed ShellPairData, written in canonical orientation
 /// [bra.s1][bra.s2][ket.s1][ket.s2]. Fully initializes `out` (see
 /// ensure_batch_size); reentrant (thread-local scratch).
-/// EriEngine::compute wraps this with index permutation; the knlsim
+/// EriEngine::compute wraps this with the orientation rule
+/// (orient_quartet) and index permutation; the knlsim
 /// workload model calls it directly to evaluate isolated Schwarz
 /// diagonals (ab|ab) without building a full engine.
 void compute_eri_canonical(const ShellPairData& bra,
                            const ShellPairData& ket, double* out);
+
+/// One caller quartet (si sj | sk sl) as the kernel evaluates it: which
+/// shell pair runs in the outer (bra) loop, and where each caller axis
+/// lands in the kernel's [bra.s1][bra.s2][ket.s1][ket.s2] output.
+struct OrientedQuartet {
+  const ShellPairData* bra = nullptr;  ///< evaluated in the outer loop
+  const ShellPairData* ket = nullptr;
+  bool in_place = true;  ///< kernel layout already is [i][j][k][l]
+  int n[4] = {};                ///< caller extents ni, nj, nk, nl
+  std::size_t stride[4] = {};   ///< caller axis -> kernel-output stride
+};
+
+/// The orientation rule of both ERI paths (EriEngine::compute and
+/// QuartetBatch): which of the caller's shell pairs ij, kl runs in the
+/// kernel's outer (bra) loop. The kernel's inner loops run over the bra
+/// Hermite triangle, so the pair with the higher Lsum runs outer
+/// (DESIGN.md section 12.7). On equal Lsum the pair with the larger
+/// canonical index s1 (s1 + 1) / 2 + s2 runs outer, so the builders'
+/// canonical quartets (kl <= ij) never flip on a tie. The decision is a
+/// function of the unordered quartet alone: (ij|kl) and (kl|ij) make the
+/// same kernel call, and their batches are exact transposes.
+OrientedQuartet orient_quartet(const ShellPairList& pairs, std::size_t si,
+                               std::size_t sj, std::size_t sk,
+                               std::size_t sl);
 
 class EriEngine {
  public:

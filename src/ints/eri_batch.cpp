@@ -35,14 +35,18 @@ void QuartetBatch::evaluate() {
   if (entries_.empty()) return;
   ensure_batch_size(results_, results_size_);
 
+  // Orient every entry once (the rule EriEngine::compute applies too), and
+  // bucket it by the caller's class (l_i + l_j, l_k + l_l): buckets and the
+  // per-class counters keep the caller's view, while the kernel
+  // instantiation follows the evaluated orientation.
   const ShellPairList& pairs = eng_->pairs();
+  const basis::BasisSet& bs = eng_->basis_set();
+  oriented_.resize(entries_.size());
   for (std::uint32_t i = 0; i < entries_.size(); ++i) {
     const Entry& e = entries_[i];
-    const ShellPairData& bra =
-        pairs.pair(std::max(e.si, e.sj), std::min(e.si, e.sj));
-    const ShellPairData& ket =
-        pairs.pair(std::max(e.sk, e.sl), std::min(e.sk, e.sl));
-    const int key = bra.lsum() * kClassDim + ket.lsum();
+    oriented_[i] = orient_quartet(pairs, e.si, e.sj, e.sk, e.sl);
+    const int key = (bs.shell(e.si).l + bs.shell(e.sj).l) * kClassDim +
+                    bs.shell(e.sk).l + bs.shell(e.sl).l;
     if (buckets_[static_cast<std::size_t>(key)].empty()) {
       used_keys_.push_back(key);
     }
@@ -64,42 +68,50 @@ void QuartetBatch::evaluate_class(int lbra, int lket,
   const std::uint64_t t0 = timed ? obs::monotonic_ns() : 0;
 
   const int ltot = lbra + lket;
-  const ShellPairList& pairs = eng_->pairs();
-  const basis::BasisSet& bs = eng_->basis_set();
 
   // Phase 1: sweep the primitive-pair loops once, recording per primitive
   // quartet the prescreen verdict and, for survivors, the Boys argument
   // plus the geometry the kernel needs (pref, alpha, PQ) -- all in
-  // entry-then-primitive enumeration order, the exact order phase 3
-  // replays. Phase 3 then never recomputes prim_geom (one sqrt + divide
-  // per primitive quartet for the whole pipeline).
-  t_buf_.clear();
-  surv_.clear();
-  geom_buf_.clear();
+  // entry-then-primitive enumeration order of the evaluated orientation,
+  // the exact order phase 3 replays. Phase 3 then never recomputes
+  // prim_geom (one sqrt + divide per primitive quartet for the whole
+  // pipeline). The buffers are sized once for the group's primitive
+  // quartet count (every one a potential survivor) and written through
+  // pointers.
+  std::size_t nprim = 0;
   for (const std::uint32_t i : idxs) {
-    const Entry& e = entries_[i];
-    const ShellPairData& bra =
-        pairs.pair(std::max(e.si, e.sj), std::min(e.si, e.sj));
-    const ShellPairData& ket =
-        pairs.pair(std::max(e.sk, e.sl), std::min(e.sk, e.sl));
-    for (const PrimPairData& bp : bra.prims) {
-      for (const PrimPairData& kp : ket.prims) {
+    const OrientedQuartet& q = oriented_[i];
+    nprim += q.bra->prims.size() * q.ket->prims.size();
+  }
+  constexpr std::size_t kGeomStride = detail::BatchedPrimSource::kGeomStride;
+  ensure_batch_size(surv_, nprim);
+  ensure_batch_size(t_buf_, nprim);
+  ensure_batch_size(geom_buf_, nprim * kGeomStride);
+  std::uint8_t* surv = surv_.data();
+  double* tb = t_buf_.data();
+  double* geom = geom_buf_.data();
+  std::size_t nsurv = 0;
+  for (const std::uint32_t i : idxs) {
+    const OrientedQuartet& q = oriented_[i];
+    for (const PrimPairData& bp : q.bra->prims) {
+      for (const PrimPairData& kp : q.ket->prims) {
         const detail::PrimGeom pg = detail::prim_geom(bp, kp);
         const bool skip = detail::prim_skipped(bp, kp, pg.pref);
-        surv_.push_back(static_cast<std::uint8_t>(!skip));
+        *surv++ = static_cast<std::uint8_t>(!skip);
         if (skip) continue;
-        t_buf_.push_back(pg.t);
-        geom_buf_.push_back(pg.pref);
-        geom_buf_.push_back(pg.alpha);
-        geom_buf_.push_back(pg.pq[0]);
-        geom_buf_.push_back(pg.pq[1]);
-        geom_buf_.push_back(pg.pq[2]);
+        tb[nsurv] = pg.t;
+        double* rec = geom + nsurv * kGeomStride;
+        rec[0] = pg.pref;
+        rec[1] = pg.alpha;
+        rec[2] = pg.pq[0];
+        rec[3] = pg.pq[1];
+        rec[4] = pg.pq[2];
+        ++nsurv;
       }
     }
   }
 
   // Phase 2: one batched Boys evaluation for the whole class group.
-  const std::size_t nsurv = t_buf_.size();
   if (nsurv > 0) {
     ensure_batch_size(fm_buf_,
                       static_cast<std::size_t>(ltot + 1) * nsurv);
@@ -115,26 +127,18 @@ void QuartetBatch::evaluate_class(int lbra, int lket,
   src.geom = geom_buf_.data();
   for (const std::uint32_t i : idxs) {
     const Entry& e = entries_[i];
-    const bool swap_ij = e.si < e.sj;
-    const bool swap_kl = e.sk < e.sl;
-    const ShellPairData& bra =
-        pairs.pair(std::max(e.si, e.sj), std::min(e.si, e.sj));
-    const ShellPairData& ket =
-        pairs.pair(std::max(e.sk, e.sl), std::min(e.sk, e.sl));
+    const OrientedQuartet& q = oriented_[i];
     double* dst = results_.data() + e.offset;
-    if (!swap_ij && !swap_kl) {
-      detail::eri_quartet_kernel(bra, ket, src, g_, rmat_, r_, dst);
+    if (q.in_place) {
+      detail::eri_quartet_kernel(*q.bra, *q.ket, src, g_, rmat_, r_, dst);
     } else {
       ensure_batch_size(tmp_, e.size);
-      detail::eri_quartet_kernel(bra, ket, src, g_, rmat_, r_, tmp_.data());
-      detail::permute_to_caller(tmp_.data(), swap_ij, swap_kl,
-                                bs.shell(e.si).nfunc(),
-                                bs.shell(e.sj).nfunc(),
-                                bs.shell(e.sk).nfunc(),
-                                bs.shell(e.sl).nfunc(), dst);
+      detail::eri_quartet_kernel(*q.bra, *q.ket, src, g_, rmat_, r_,
+                                 tmp_.data());
+      detail::permute_to_caller(tmp_.data(), q, dst);
     }
   }
-  MC_CHECK(src.cursor == nsurv && src.flag_cursor == surv_.size(),
+  MC_CHECK(src.cursor == nsurv && src.flag_cursor == nprim,
            "batched ERI pipeline consumed a different primitive-quartet "
            "count than it collected");
 

@@ -5,9 +5,10 @@
 // that passed Schwarz and density-weighted screening -- and evaluates them
 // in three phases per angular-momentum class (Lbra, Lket) = (l1+l2, l3+l4):
 //
-//   1. sweep the primitive-pair loops collecting the Boys arguments
-//      T = alpha |PQ|^2 of every surviving primitive quartet into a
-//      contiguous buffer,
+//   1. sweep the primitive-pair loops -- in the orientation the kernel
+//      will run each quartet (orient_quartet, the rule EriEngine::compute
+//      applies too) -- collecting the Boys arguments T = alpha |PQ|^2 of
+//      every surviving primitive quartet into a contiguous buffer,
 //   2. one boys_batch() call per class (uniform ltot, so the downward
 //      recursion runs branch-free across the whole batch -- the SIMD axis),
 //   3. re-run the identical loops through the shared eri_quartet_kernel,
@@ -86,13 +87,16 @@ class QuartetBatch {
   std::vector<double> results_;
   std::size_t results_size_ = 0;
 
-  // Class-group buckets, keyed Lbra * kClassDim + Lket; used_keys_ tracks
-  // which buckets are non-empty so clear() stays O(classes used).
+  // Class-group buckets, keyed by the caller's class Lbra * kClassDim +
+  // Lket; used_keys_ tracks which buckets are non-empty so clear() stays
+  // O(classes used).
   static constexpr int kClassDim = 9;  // l1+l2 <= 8
   std::array<std::vector<std::uint32_t>, kClassDim * kClassDim> buckets_;
   std::vector<int> used_keys_;
 
-  // Evaluation scratch (reused across flushes, no hot-loop allocations).
+  // Evaluation scratch (reused across flushes, no hot-loop allocations;
+  // sized grow-only, so a slot past the current group's count is stale).
+  std::vector<OrientedQuartet> oriented_;  ///< per entry
   std::vector<double> t_buf_;   ///< phase-1 Boys arguments
   std::vector<double> fm_buf_;  ///< boys_batch output, SoA [m][element]
   std::vector<std::uint8_t> surv_;  ///< phase-1 per-(bp,kp) prescreen verdict

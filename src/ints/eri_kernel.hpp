@@ -6,7 +6,9 @@
 // -- and differ only in where the Boys values come from (computed inline
 // vs consumed from a boys_batch block). That shared structure is what
 // makes the scalar-vs-batched agreement bitwise (tested at a 1-ULP bound
-// in test_ints.cpp) instead of approximate.
+// in test_ints.cpp) instead of approximate. Both paths also orient each
+// caller quartet by the same rule (orient_quartet, eri.hpp) before the
+// kernel runs, so one caller quartet means one kernel call on either path.
 //
 // Kernel form (DESIGN.md section 12.7): the Hermite contractions run over
 // *compact triangles*. For each angular class, precomputed side tables
@@ -26,6 +28,7 @@
 //
 // Not part of the public ints API; include from src/ints only.
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstddef>
@@ -228,12 +231,13 @@ template <int L, int LTOT>
 inline constexpr StaticClassTab<L, LTOT> kStaticClassTab{};
 
 /// Kernel body shared by every angular class. LB / LK are the side L
-/// values when known at compile time (the dominant low-L classes are
-/// dispatched to constant instantiations below, which lets the inlined
-/// build_from recursion and the tiny gather/accumulate loops fully unroll)
-/// or -1 for the runtime-L fallback. Identical loop structure and
-/// arithmetic either way, so the specializations are bitwise-identical to
-/// the fallback by construction.
+/// values when known at compile time (every class the built-in bases
+/// produce, once oriented, is dispatched to a constant instantiation
+/// below: the R recursion then runs in a stack FixedRTable with constant
+/// bounds, and the gather/accumulate loops have constant trip counts) or
+/// -1 for the runtime-L fallback, which builds into the caller's RTable.
+/// Identical loop structure and arithmetic either way, so the
+/// specializations are bitwise-identical to the fallback by construction.
 template <int LB, int LK, typename PrimSource>
 void eri_quartet_kernel_impl(const ShellPairData& bra,
                              const ShellPairData& ket, PrimSource&& src,
@@ -241,6 +245,8 @@ void eri_quartet_kernel_impl(const ShellPairData& bra,
                              std::vector<double>& rmat_scratch, RTable& r,
                              double* out) {
   constexpr bool kStatic = (LB >= 0 && LK >= 0);
+  // Unused (order 0) in the runtime-L fallback.
+  FixedRTable<kStatic ? LB + LK : 0> rfix;
   const int ncomp_ab = bra.ncomp();
   const int ncomp_cd = ket.ncomp();
   const int lb = kStatic ? LB : bra.lsum();
@@ -287,13 +293,19 @@ void eri_quartet_kernel_impl(const ShellPairData& bra,
 
     for (const PrimPairData& kp : ket.prims) {
       if (!src.next(bp, kp, pg, fv)) continue;
-      r.build_from(ltot, pg.alpha, pg.pq, fv.fm, fv.stride);
+      const double* rd;
+      if constexpr (kStatic) {
+        rfix.build_from(pg.alpha, pg.pq, fv.fm, fv.stride);
+        rd = rfix.data();
+      } else {
+        r.build_from(ltot, pg.alpha, pg.pq, fv.fm, fv.stride);
+        rd = r.data();
+      }
 
       // Gather the Hermite Coulomb tensor into a dense [q][p] matrix:
       // element (q, p) = R_{t+tau, u+nu, v+phi} at cube offset
       // ket_off[q] + bra_off[p] (linearity of the cube index). One pass,
       // shared by every ket component below.
-      const double* rd = r.data();
       for (int q = 0; q < nq; ++q) {
         const int qoff = ket_off[q];
         double* rrow = rmat + static_cast<std::size_t>(q) * nb;
@@ -347,14 +359,21 @@ void eri_quartet_kernel_impl(const ShellPairData& bra,
 /// BatchedPrimSource replays phase-1 state). Fully initializes `out`.
 /// `g_scratch` holds the compact G accumulator (ncomp_cd x bra triangle),
 /// `rmat_scratch` the gathered R matrix (ket triangle x bra triangle); both
-/// grow once and are reused across quartets.
+/// grow once and are reused across quartets. `r` is only used by the
+/// runtime-L fallback.
 ///
-/// Dispatches on the angular class: (ssss) collapses to one multiply-add
-/// per primitive quartet (R_000 = F_0 exactly -- build_from seeds level 0
-/// with 1.0 * fm[0] -- and every triangle is the single point (0,0,0));
-/// classes with both sides <= L=2 (s/p/d shell pairs, all of STO-3G and
-/// the bulk of any quartet distribution) run constant-L instantiations of
-/// the shared body; everything else takes the runtime-L fallback.
+/// Orientation-agnostic: it evaluates whichever pair it is given as the
+/// bra in the outer loop. The production paths orient each quartet first
+/// (orient_quartet in eri.hpp: the higher-Lsum pair runs outer), so the
+/// classes they send are those with Lbra >= Lket. Dispatch on the
+/// evaluated class:
+/// (ssss) collapses to one multiply-add per primitive quartet (R_000 = F_0
+/// exactly -- the recursion seeds level 0 with 1.0 * fm[0] -- and every
+/// triangle is the single point (0,0,0)); every other Lbra >= Lket class
+/// up to (4,4) -- all that s/p/d shells produce, so all of the built-in
+/// bases -- runs a constant-(LB, LK) instantiation of the shared body;
+/// Lsum > 4 on either side (f shells and up) and unoriented calls with
+/// Lbra < Lket take the runtime-L fallback.
 template <typename PrimSource>
 void eri_quartet_kernel(const ShellPairData& bra, const ShellPairData& ket,
                         PrimSource&& src, std::vector<double>& g_scratch,
@@ -366,7 +385,7 @@ void eri_quartet_kernel(const ShellPairData& bra, const ShellPairData& ket,
   if (lb + lk == 0) {
     // Term order and product association match the general body
     // ((pref * hval) then * F_0; hb * g; += into out[0]) -- bitwise
-    // identical, just without touching the RTable.
+    // identical, just without building an R table.
     PrimGeom pg;
     FmView fv;
     out[0] = 0.0;
@@ -389,14 +408,20 @@ void eri_quartet_kernel(const ShellPairData& bra, const ShellPairData& ket,
     eri_quartet_kernel_impl<B, K>(bra, ket, src, g_scratch, rmat_scratch,  \
                                   r, out);                                 \
     return;
-    MC_ERI_CLASS_CASE(0, 1)
-    MC_ERI_CLASS_CASE(0, 2)
     MC_ERI_CLASS_CASE(1, 0)
     MC_ERI_CLASS_CASE(1, 1)
-    MC_ERI_CLASS_CASE(1, 2)
     MC_ERI_CLASS_CASE(2, 0)
     MC_ERI_CLASS_CASE(2, 1)
     MC_ERI_CLASS_CASE(2, 2)
+    MC_ERI_CLASS_CASE(3, 0)
+    MC_ERI_CLASS_CASE(3, 1)
+    MC_ERI_CLASS_CASE(3, 2)
+    MC_ERI_CLASS_CASE(3, 3)
+    MC_ERI_CLASS_CASE(4, 0)
+    MC_ERI_CLASS_CASE(4, 1)
+    MC_ERI_CLASS_CASE(4, 2)
+    MC_ERI_CLASS_CASE(4, 3)
+    MC_ERI_CLASS_CASE(4, 4)
 #undef MC_ERI_CLASS_CASE
     default:
       eri_quartet_kernel_impl<-1, -1>(bra, ket, src, g_scratch,
@@ -495,28 +520,19 @@ void eri_quartet_kernel_ref(const ShellPairData& bra,
   }
 }
 
-/// Permute a canonical-orientation quartet batch ([b1][b2][k1][k2] with
-/// b1 = max(si,sj), etc.) into the caller's [i][j][k][l] layout.
-inline void permute_to_caller(const double* canonical, bool swap_ij,
-                              bool swap_kl, int ni, int nj, int nk, int nl,
-                              double* out) {
-  const int nb1 = swap_ij ? nj : ni;
-  const int nb2 = swap_ij ? ni : nj;
-  const int nk1 = swap_kl ? nl : nk;
-  const int nk2 = swap_kl ? nk : nl;
-  for (int a = 0; a < nb1; ++a) {
-    for (int b = 0; b < nb2; ++b) {
-      const int ii = swap_ij ? b : a;
-      const int jj = swap_ij ? a : b;
-      for (int c = 0; c < nk1; ++c) {
-        for (int d = 0; d < nk2; ++d) {
-          const int kk = swap_kl ? d : c;
-          const int ll = swap_kl ? c : d;
-          out[((static_cast<std::size_t>(ii) * nj + jj) * nk + kk) * nl +
-              ll] =
-              canonical[((static_cast<std::size_t>(a) * nb2 + b) * nk1 + c) *
-                            nk2 +
-                        d];
+/// Gather a kernel-orientation batch into the caller's [i][j][k][l]
+/// layout (q.in_place == false; the in-place case needs no copy).
+inline void permute_to_caller(const double* kernel_out,
+                              const OrientedQuartet& q, double* out) {
+  std::size_t o = 0;
+  for (int a = 0; a < q.n[0]; ++a) {
+    const double* pa = kernel_out + static_cast<std::size_t>(a) * q.stride[0];
+    for (int b = 0; b < q.n[1]; ++b) {
+      const double* pb = pa + static_cast<std::size_t>(b) * q.stride[1];
+      for (int c = 0; c < q.n[2]; ++c) {
+        const double* pc = pb + static_cast<std::size_t>(c) * q.stride[2];
+        for (int d = 0; d < q.n[3]; ++d) {
+          out[o++] = pc[static_cast<std::size_t>(d) * q.stride[3]];
         }
       }
     }

@@ -1,5 +1,6 @@
 #include "ints/hermite.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -48,8 +49,7 @@ ETable::ETable(int imax, int jmax, double a, double b, double ab)
 }
 
 void RTable::build(int ltot, double alpha, const double* pq) {
-  MC_CHECK(ltot <= kMaxBoysOrder, "RTable order exceeds Boys table");
-  dim_ = ltot + 1;
+  reserve(ltot);
   const double r2 = pq[0] * pq[0] + pq[1] * pq[1] + pq[2] * pq[2];
 
   double fm[kMaxBoysOrder + 1];
@@ -57,19 +57,12 @@ void RTable::build(int ltot, double alpha, const double* pq) {
 
   // Zero the full cube so out-of-triangle reads (general consumers like
   // the nuclear-attraction driver index by per-axis bounds) see exact 0.0.
-  const std::size_t sz =
-      static_cast<std::size_t>(dim_) * dim_ * dim_;
-  data_.assign(sz, 0.0);
-  if (scratch_.size() < sz) scratch_.resize(sz);
+  std::fill_n(data_.begin(), static_cast<std::size_t>(dim_) * dim_ * dim_,
+              0.0);
 
-  // R_{000}^{(n)} = (-2 alpha)^n F_n(alpha R^2).
   double seeds[kMaxBoysOrder + 1];
-  double pref = 1.0;
-  for (int n = 0; n <= ltot; ++n) {
-    seeds[n] = pref * fm[n];
-    pref *= -2.0 * alpha;
-  }
-  fill_triangle(ltot, pq, seeds);
+  hermite_r_seeds(ltot, alpha, fm, 1, seeds);
+  hermite_r_recursion(ltot, pq, seeds, data_.data(), scratch_.data());
 }
 
 }  // namespace mc::ints

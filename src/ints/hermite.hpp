@@ -35,6 +35,71 @@ class ETable {
   std::vector<double> data_;
 };
 
+/// Downward auxiliary-index recursion for the Hermite Coulomb tensor,
+/// shared by RTable (runtime order, member buffers) and FixedRTable
+/// (compile-time order LTOT, stack buffers). `seeds[n]` must hold
+/// (-2 alpha)^n F_n, n = 0..ltot. Level n of the recursion lives in `even`
+/// (n even) or `odd` (n odd), both (ltot+1)^3 cubes: level n reads only
+/// level n+1 (the other buffer), and by the time it overwrites level n+2's
+/// cells they are dead. Level 0 -- the result -- therefore lands in `even`
+/// with no final copy.
+///
+/// Recursions (Helgaker et al. eq. 9.9.18-20):
+///   R_{t+1,u,v}^{(n)} = t R_{t-1,u,v}^{(n+1)} + X_PQ R_{t,u,v}^{(n+1)}
+/// and cyclic for u, v. Only the t+u+v <= ltot - n triangle of each level
+/// is written, and only the t+u+v <= ltot - n - 1 triangle of the level
+/// above is read; cells outside the level-0 triangle are left untouched.
+/// With LTOT >= 0 the loop bounds are constants (the runtime argument is
+/// ignored), so the ERI kernel's constant-class instantiations unroll it;
+/// the cell order and arithmetic are the same either way.
+template <int LTOT = -1>
+inline void hermite_r_recursion(int ltot_rt, const double* pq,
+                                const double* seeds, double* even,
+                                double* odd) {
+  const int ltot = LTOT >= 0 ? LTOT : ltot_rt;
+  const int d = ltot + 1;
+  auto idx = [d](int t, int u, int v) {
+    return static_cast<std::size_t>((t * d + u) * d + v);
+  };
+  for (int n = ltot; n >= 0; --n) {
+    double* lo = (n % 2 == 0) ? even : odd;
+    lo[idx(0, 0, 0)] = seeds[n];
+    if (n == ltot) continue;
+    const double* hi = (n % 2 == 0) ? odd : even;
+    const int lmax = ltot - n;
+    for (int t = 0; t <= lmax; ++t) {
+      for (int u = 0; u + t <= lmax; ++u) {
+        for (int v = 0; v + u + t <= lmax; ++v) {
+          if (t + u + v == 0) continue;
+          double val;
+          if (t > 0) {
+            val = pq[0] * hi[idx(t - 1, u, v)];
+            if (t > 1) val += (t - 1) * hi[idx(t - 2, u, v)];
+          } else if (u > 0) {
+            val = pq[1] * hi[idx(t, u - 1, v)];
+            if (u > 1) val += (u - 1) * hi[idx(t, u - 2, v)];
+          } else {
+            val = pq[2] * hi[idx(t, u, v - 1)];
+            if (v > 1) val += (v - 1) * hi[idx(t, u, v - 2)];
+          }
+          lo[idx(t, u, v)] = val;
+        }
+      }
+    }
+  }
+}
+
+/// Recursion seeds R_{000}^{(n)} = (-2 alpha)^n F_n for n = 0..ltot, from
+/// fm[n * fm_stride] = F_n(alpha |PQ|^2).
+inline void hermite_r_seeds(int ltot, double alpha, const double* fm,
+                            std::size_t fm_stride, double* seeds) {
+  double pref = 1.0;
+  for (int n = 0; n <= ltot; ++n) {
+    seeds[n] = pref * fm[static_cast<std::size_t>(n) * fm_stride];
+    pref *= -2.0 * alpha;
+  }
+}
+
 /// Hermite Coulomb tensor R_{tuv} = R_{tuv}^{(0)}(alpha, PQ) for
 /// 0 <= t+u+v <= ltot. Built from the Boys function by the standard
 /// auxiliary-index recursion.
@@ -59,8 +124,6 @@ class RTable {
   /// entries outside the triangle are stale. The ERI kernel's loops are
   /// triangle-bounded, which is what makes this safe; arithmetic is
   /// identical to build(), so in-triangle values match it bitwise.
-  /// Defined inline below so the ERI kernel's constant-ltot instantiations
-  /// fully unroll the recursion for the dominant low-L classes.
   void build_from(int ltot, double alpha, const double* pq, const double* fm,
                   std::size_t fm_stride);
 
@@ -71,75 +134,53 @@ class RTable {
   [[nodiscard]] int dim() const { return dim_; }
 
  private:
-  /// Downward auxiliary-index recursion over ping-ponged level buffers;
-  /// seeds[n] must hold (-2 alpha)^n F_n. Writes level 0 into data_.
-  void fill_triangle(int ltot, const double* pq, const double* seeds);
+  /// Sizes both level buffers for order ltot (grow-only).
+  void reserve(int ltot);
 
   int dim_ = 0;  // ltot + 1
-  std::vector<double> data_;
+  std::vector<double> data_;     // even recursion levels, level 0 = result
   std::vector<double> scratch_;  // odd recursion levels
 };
 
-inline void RTable::fill_triangle(int ltot, const double* pq,
-                                  const double* seeds) {
-  // Level n of the auxiliary recursion lives in data_ (n even) or scratch_
-  // (n odd): level n reads only level n+1 (the other buffer), and by the
-  // time it overwrites level n+2's cells they are dead. Level 0 -- the
-  // result -- therefore lands in data_ with no final copy.
-  //
-  // Recursions (Helgaker et al. eq. 9.9.18-20):
-  //   R_{t+1,u,v}^{(n)} = t R_{t-1,u,v}^{(n+1)} + X_PQ R_{t,u,v}^{(n+1)}
-  // and cyclic for u, v. Only the t+u+v <= ltot - n triangle of each level
-  // is written, and only the t+u+v <= ltot - n - 1 triangle of the level
-  // above is read.
-  const int d = dim_;
-  auto idx = [d](int t, int u, int v) {
-    return static_cast<std::size_t>((t * d + u) * d + v);
-  };
-  for (int n = ltot; n >= 0; --n) {
-    double* lo = (n % 2 == 0) ? data_.data() : scratch_.data();
-    lo[idx(0, 0, 0)] = seeds[n];
-    if (n == ltot) continue;
-    const double* hi = (n % 2 == 0) ? scratch_.data() : data_.data();
-    const int lmax = ltot - n;
-    for (int t = 0; t <= lmax; ++t) {
-      for (int u = 0; u + t <= lmax; ++u) {
-        for (int v = 0; v + u + t <= lmax; ++v) {
-          if (t + u + v == 0) continue;
-          double val;
-          if (t > 0) {
-            val = pq[0] * hi[idx(t - 1, u, v)];
-            if (t > 1) val += (t - 1) * hi[idx(t - 2, u, v)];
-          } else if (u > 0) {
-            val = pq[1] * hi[idx(t, u - 1, v)];
-            if (u > 1) val += (u - 1) * hi[idx(t, u - 2, v)];
-          } else {
-            val = pq[2] * hi[idx(t, u, v - 1)];
-            if (v > 1) val += (v - 1) * hi[idx(t, u, v - 2)];
-          }
-          lo[idx(t, u, v)] = val;
-        }
-      }
-    }
-  }
+inline void RTable::reserve(int ltot) {
+  MC_CHECK(ltot <= kMaxBoysOrder, "RTable order exceeds Boys table");
+  dim_ = ltot + 1;
+  const std::size_t sz = static_cast<std::size_t>(dim_) * dim_ * dim_;
+  if (data_.size() < sz) data_.resize(sz);
+  if (scratch_.size() < sz) scratch_.resize(sz);
 }
 
 inline void RTable::build_from(int ltot, double alpha, const double* pq,
                                const double* fm, std::size_t fm_stride) {
-  MC_CHECK(ltot <= kMaxBoysOrder, "RTable order exceeds Boys table");
-  dim_ = ltot + 1;
-  const std::size_t sz =
-      static_cast<std::size_t>(dim_) * dim_ * dim_;
-  if (data_.size() < sz) data_.resize(sz);
-  if (scratch_.size() < sz) scratch_.resize(sz);
-
+  reserve(ltot);
   double seeds[kMaxBoysOrder + 1];
-  double pref = 1.0;
-  for (int n = 0; n <= ltot; ++n) {
-    seeds[n] = pref * fm[static_cast<std::size_t>(n) * fm_stride];
-    pref *= -2.0 * alpha;
-  }
-  fill_triangle(ltot, pq, seeds);
+  hermite_r_seeds(ltot, alpha, fm, fm_stride, seeds);
+  hermite_r_recursion(ltot, pq, seeds, data_.data(), scratch_.data());
 }
+
+/// RTable for a compile-time order: both recursion levels in fixed-size
+/// member arrays (stack storage when the table is a local), no size checks,
+/// constant cube dimension. Same recursion and arithmetic as
+/// RTable::build_from, so in-triangle values match it bitwise; cells
+/// outside the t+u+v <= LTOT triangle are never written.
+template <int LTOT>
+class FixedRTable {
+ public:
+  static constexpr int kDim = LTOT + 1;
+
+  void build_from(double alpha, const double* pq, const double* fm,
+                  std::size_t fm_stride) {
+    double seeds[LTOT + 1];
+    hermite_r_seeds(LTOT, alpha, fm, fm_stride, seeds);
+    hermite_r_recursion<LTOT>(LTOT, pq, seeds, even_, odd_);
+  }
+  [[nodiscard]] const double* data() const { return even_; }
+
+ private:
+  static constexpr std::size_t kCube =
+      static_cast<std::size_t>(kDim) * kDim * kDim;
+  double even_[kCube];
+  double odd_[kCube];
+};
 
 }  // namespace mc::ints

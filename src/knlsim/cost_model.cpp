@@ -11,9 +11,13 @@ EriCostTable EriCostTable::host_default() {
   // Seconds per primitive-pair product for (Lsum_bra x Lsum_ket) quartet
   // classes, measured on the reproduction host with bench_eri_micro on
   // carbon 6-31G(d) shell pairs at the graphene bond length (GCC 12,
-  // RelWithDebInfo, 2026-07). The matrix is asymmetric because the MD
-  // contraction is factorized bra-outer/ket-inner. Regenerate with
-  // bench_eri_micro if the host or compiler changes.
+  // RelWithDebInfo, 2026-07). The constants describe the 2026-07 kernel,
+  // which had no orientation rule: it ran every quartet bra-outer/ket-inner
+  // as the caller passed it, so the matrix is asymmetric. The current
+  // kernel runs the higher-Lsum pair outer (DESIGN.md section 12.7), which
+  // makes mirrored classes cost about the same; the table is kept as it is
+  // because EXPERIMENTS.md's modelled figures are calibrated on it.
+  // Regenerate with bench_eri_micro if the host or compiler changes.
   EriCostTable t{};
   const double m[kNumPairClasses][kNumPairClasses] = {
       // ket:   ss        sp        pp        pd        dd

@@ -743,6 +743,165 @@ TEST(EriBatch, EightFoldSymmetryAudit) {
   }
 }
 
+TEST(Eri, MirroredQuartetsAreBitwiseTransposes) {
+  // Every canonical quartet (ij|kl) of C2/6-31G(d) -- i >= j, k >= l, pair
+  // kl before pair ij -- whose two shell pairs differ, against its mirror
+  // image (kl|ij). The orientation rule is a function of the unordered
+  // quartet, so both images make the same kernel call and the batches are
+  // exact transposes, signed zeros included: through EriEngine::compute,
+  // and through one QuartetBatch holding both images.
+  chem::Molecule mol;
+  mol.add_atom(6, 0.0, 0.0, 0.0);
+  mol.add_atom(6, 0.0, 0.0, 2.68);
+  auto bs = basis::BasisSet::build(mol, "6-31G(d)");
+  EriEngine eri(bs);
+  std::vector<std::array<std::size_t, 2>> plist;
+  for (std::size_t s1 = 0; s1 < bs.nshells(); ++s1) {
+    for (std::size_t s2 = 0; s2 <= s1; ++s2) plist.push_back({s1, s2});
+  }
+
+  // (ij|kl)[a][b][c][d] == (kl|ij)[c][d][a][b], bit for bit.
+  auto transposed = [&](const std::array<std::size_t, 4>& qt,
+                        const double* ijkl, const double* klij) {
+    const int ni = bs.shell(qt[0]).nfunc(), nj = bs.shell(qt[1]).nfunc(),
+              nk = bs.shell(qt[2]).nfunc(), nl = bs.shell(qt[3]).nfunc();
+    for (int a = 0; a < ni; ++a)
+      for (int b = 0; b < nj; ++b)
+        for (int c = 0; c < nk; ++c)
+          for (int d = 0; d < nl; ++d) {
+            const double x =
+                ijkl[((static_cast<std::size_t>(a) * nj + b) * nk + c) * nl +
+                     d];
+            const double y =
+                klij[((static_cast<std::size_t>(c) * nl + d) * ni + a) * nj +
+                     b];
+            if (std::bit_cast<std::uint64_t>(x) !=
+                std::bit_cast<std::uint64_t>(y)) {
+              return false;
+            }
+          }
+    return true;
+  };
+
+  QuartetBatch batch(eri, 64);
+  std::vector<std::array<std::size_t, 4>> pending;
+  std::vector<double> ijkl, klij;
+  std::set<std::pair<int, int>> classes;
+  std::size_t quartets = 0, scalar_bad = 0, batched_bad = 0;
+  auto check_batch = [&] {
+    batch.evaluate();
+    for (std::size_t q = 0; q < pending.size(); ++q) {
+      if (!transposed(pending[q], batch.result(2 * q),
+                      batch.result(2 * q + 1))) {
+        ++batched_bad;
+      }
+    }
+    batch.clear();
+    pending.clear();
+  };
+  for (std::size_t pij = 0; pij < plist.size(); ++pij) {
+    for (std::size_t pkl = 0; pkl < pij; ++pkl) {
+      const std::array<std::size_t, 4> qt = {plist[pij][0], plist[pij][1],
+                                             plist[pkl][0], plist[pkl][1]};
+      const auto [i, j, k, l] = std::tuple{qt[0], qt[1], qt[2], qt[3]};
+      classes.insert({bs.shell(i).l + bs.shell(j).l,
+                      bs.shell(k).l + bs.shell(l).l});
+      ++quartets;
+      ijkl.assign(eri.batch_size(i, j, k, l), 0.0);
+      klij.assign(eri.batch_size(k, l, i, j), 0.0);
+      eri.compute(i, j, k, l, ijkl.data());
+      eri.compute(k, l, i, j, klij.data());
+      if (!transposed(qt, ijkl.data(), klij.data())) {
+        ++scalar_bad;
+        ADD_FAILURE() << "EriEngine::compute: (" << k << l << "|" << i << j
+                      << ") is not the transpose of (" << i << j << "|" << k
+                      << l << ")";
+      }
+      batch.add(i, j, k, l);
+      batch.add(k, l, i, j);
+      pending.push_back(qt);
+      if (batch.full()) check_batch();
+    }
+  }
+  check_batch();
+
+  EXPECT_EQ(quartets, 3003u);
+  EXPECT_EQ(classes.size(), 25u);
+  EXPECT_EQ(scalar_bad, 0u);
+  EXPECT_EQ(batched_bad, 0u);
+}
+
+TEST(EriBatch, ClassCountersKeyedByCallerClass) {
+  // The batched pipeline evaluates (ss|dd) oriented as (dd|ss), but the
+  // per-class counters (and the buckets) stay keyed by the caller's
+  // (Lbra, Lket): every (ss|dd) quartet lands in class (0,4), every
+  // (dd|ss) quartet in (4,0), each with the Boys-element count of its own
+  // caller-orientation primitive walk -- what a bra-outer evaluation of
+  // the caller's quartet collects.
+  chem::Molecule mol;
+  mol.add_atom(6, 0.0, 0.0, 0.0);
+  mol.add_atom(6, 0.0, 0.0, 2.68);
+  auto bs = basis::BasisSet::build(mol, "6-31G(d)");
+  EriEngine eri(bs);
+  std::vector<std::size_t> s_shells, d_shells;
+  for (std::size_t s = 0; s < bs.nshells(); ++s) {
+    if (bs.shell(s).l == 0) s_shells.push_back(s);
+    if (bs.shell(s).l == 2) d_shells.push_back(s);
+  }
+  std::vector<std::array<std::size_t, 2>> ss, dd;
+  for (std::size_t a = 0; a < s_shells.size(); ++a)
+    for (std::size_t b = 0; b <= a; ++b) ss.push_back({s_shells[a], s_shells[b]});
+  for (std::size_t a = 0; a < d_shells.size(); ++a)
+    for (std::size_t b = 0; b <= a; ++b) dd.push_back({d_shells[a], d_shells[b]});
+
+  auto survivors = [&](const std::array<std::size_t, 2>& bra,
+                       const std::array<std::size_t, 2>& ket) {
+    std::uint64_t n = 0;
+    for (const PrimPairData& bp : eri.pairs().pair(bra[0], bra[1]).prims) {
+      for (const PrimPairData& kp : eri.pairs().pair(ket[0], ket[1]).prims) {
+        const detail::PrimGeom pg = detail::prim_geom(bp, kp);
+        if (!detail::prim_skipped(bp, kp, pg.pref)) ++n;
+      }
+    }
+    return n;
+  };
+
+  const bool prev = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::reset_metrics();
+  QuartetBatch batch(eri, 16);
+  std::uint64_t ssdd_boys = 0, ddss_boys = 0;
+  for (const auto& sp : ss) {
+    for (const auto& dp : dd) {
+      for (const bool s_first : {true, false}) {
+        const auto& bra = s_first ? sp : dp;
+        const auto& ket = s_first ? dp : sp;
+        batch.add(bra[0], bra[1], ket[0], ket[1]);
+        (s_first ? ssdd_boys : ddss_boys) += survivors(bra, ket);
+        if (batch.full()) {
+          batch.evaluate();
+          batch.clear();
+        }
+      }
+    }
+  }
+  batch.evaluate();
+  batch.clear();
+  const obs::EriClassStats ssdd = obs::eri_class_stats(0, 4);
+  const obs::EriClassStats ddss = obs::eri_class_stats(4, 0);
+  const obs::EriClassStats totals = obs::eri_class_totals();
+  obs::set_metrics_enabled(prev);
+
+  const std::uint64_t n = ss.size() * dd.size();
+  EXPECT_EQ(n, 63u);
+  EXPECT_EQ(ssdd.quartets, n);
+  EXPECT_EQ(ddss.quartets, n);
+  EXPECT_EQ(ssdd.boys_elements, ssdd_boys);
+  EXPECT_EQ(ddss.boys_elements, ddss_boys);
+  EXPECT_EQ(totals.quartets, 2 * n);
+  EXPECT_EQ(totals.boys_elements, ssdd_boys + ddss_boys);
+}
+
 TEST(EriBatch, ClassCountersTrackQuartetsAndBoysElements) {
   // With metrics enabled, each class-group evaluation records its quartet
   // and boys_batch element counts; totals must add up across flushes.
