@@ -283,52 +283,31 @@ void FockBuilderDist::flush_batch(ints::QuartetBatch& batch, DCache& dcache,
     }
   }
 
-  // Scatter in discovery order, mirroring scf::scatter_quartet exactly --
-  // same x/x4 per element, same order -- but routed through the tile
-  // caches (a -= b and a += (-b) are the same IEEE operation, so the
-  // contributions are bitwise identical to the replicated path's).
+  // The dist route of scf::scatter_updates: F rows are rows of the open F
+  // panels, D rows rows of the cached density tiles. Scatter runs in
+  // discovery order.
+  struct TileRoute {
+    DCache& dc;
+    FAcc& fa;
+    [[nodiscard]] acc::OwnedSlice<double> f_i(int /*a*/,
+                                              std::size_t r) const {
+      return fa.row(r);
+    }
+    [[nodiscard]] acc::OwnedSlice<double> f_j(int /*b*/,
+                                              std::size_t r) const {
+      return fa.row(r);
+    }
+    [[nodiscard]] acc::OwnedSlice<double> f_k(int /*c*/,
+                                              std::size_t r) const {
+      return fa.row(r);
+    }
+    [[nodiscard]] const double* d(std::size_t r) const { return dc.row(r); }
+  };
+  const TileRoute route{dcache, facc};
   for (std::size_t idx = 0; idx < batch.size(); ++idx) {
     const ints::QuartetBatch::Entry& e = batch.quartets()[idx];
-    const double* vals = batch.result(idx);
-    const basis::Shell& shi = bs.shell(e.si);
-    const basis::Shell& shj = bs.shell(e.sj);
-    const basis::Shell& shk = bs.shell(e.sk);
-    const basis::Shell& shl = bs.shell(e.sl);
-    const int ni = shi.nfunc(), nj = shj.nfunc(), nk = shk.nfunc(),
-              nl = shl.nfunc();
-    const std::size_t oi = shi.first_bf, oj = shj.first_bf,
-                      ok = shk.first_bf, ol = shl.first_bf;
-    const double w = scf::quartet_degeneracy(e.si, e.sj, e.sk, e.sl);
-
-    std::size_t q = 0;
-    for (int a = 0; a < ni; ++a) {
-      const std::size_t fa = oi + static_cast<std::size_t>(a);
-      const double* d_a = dcache.row(fa);
-      const acc::OwnedSlice<double> f_a = facc.row(fa);
-      for (int b = 0; b < nj; ++b) {
-        const std::size_t fb = oj + static_cast<std::size_t>(b);
-        const double* d_b = dcache.row(fb);
-        const acc::OwnedSlice<double> f_b = facc.row(fb);
-        for (int c = 0; c < nk; ++c) {
-          const std::size_t fc = ok + static_cast<std::size_t>(c);
-          const double* d_c = dcache.row(fc);
-          const acc::OwnedSlice<double> f_c = facc.row(fc);
-          for (int dd = 0; dd < nl; ++dd, ++q) {
-            const std::size_t fd = ol + static_cast<std::size_t>(dd);
-            const double v = vals[q];
-            if (v == 0.0) continue;
-            const double x = 0.5 * w * v;
-            const double x4 = 0.25 * x;
-            f_a.add(fb, x * d_c[fd]);
-            f_c.add(fd, x * d_a[fb]);
-            f_a.add(fc, -(x4 * d_b[fd]));
-            f_b.add(fd, -(x4 * d_a[fc]));
-            f_a.add(fd, -(x4 * d_b[fc]));
-            f_b.add(fc, -(x4 * d_a[fd]));
-          }
-        }
-      }
-    }
+    scf::scatter_updates(bs, e.si, e.sj, e.sk, e.sl, batch.result(idx),
+                         route);
   }
 
   dcache.unpin_all();
@@ -336,111 +315,13 @@ void FockBuilderDist::flush_batch(ints::QuartetBatch& batch, DCache& dcache,
   batch.clear();
 }
 
-void FockBuilderDist::process_pair(const ints::ScreenedPair& pair,
-                                   const scf::FockContext& ctx,
-                                   ints::QuartetBatch& batch, DCache& dcache,
-                                   FAcc& facc) {
-  ++pairs_;
-  const std::size_t i = pair.i;
-  const std::size_t j = pair.j;
-  const bool weighted = ctx.weighted();
-  // Identical screening cascade to FockBuilderMpi: the set of computed
-  // quartets must not depend on the data layout.
-  if (weighted &&
-      !screen_->keep_pair(i, j, 4.0 * ctx.dmax_max, ctx.threshold_scale)) {
-    return;
-  }
-  scf::for_each_kl(i, j, [&](std::size_t k, std::size_t l) {
-    if (!screen_->keep(i, j, k, l)) {
-      ++static_screened_;
-      return;
-    }
-    if (weighted && !screen_->keep(i, j, k, l, ctx.quartet_dmax(i, j, k, l),
-                                   ctx.threshold_scale)) {
-      ++density_screened_;
-      return;
-    }
-    batch.add(i, j, k, l);
-    ++quartets_;
-    if (batch.full()) flush_batch(batch, dcache, facc);
-  });
-}
-
-void FockBuilderDist::build_dlb(const scf::FockContext& ctx, DCache& dcache,
-                                FAcc& facc) {
-  const auto& pairs = screen_->sorted_pairs();
-  ddi_->dlb_reset();
-
-  // Claim-ahead pipeline: keep up to prefetch_depth claimed pairs in
-  // flight, issuing their bra-tile fetches at claim time so the gets
-  // overlap the ERI batches of the pairs ahead of them (the in-process
-  // analogue of double-buffered async prefetch).
-  const std::size_t depth =
-      opt_.prefetch_depth > 0 ? static_cast<std::size_t>(opt_.prefetch_depth)
-                              : 0;
-  ints::QuartetBatch batch(*eri_);
-  std::deque<std::size_t> claimed;
-  long next = ddi_->dlbnext();
-  for (std::size_t p = 0; p < pairs.size(); ++p) {
-    if (static_cast<long>(p) != next) continue;
-    next = ddi_->dlbnext();
-    dcache.request(layout_->shell_tile[pairs[p].i]);
-    dcache.request(layout_->shell_tile[pairs[p].j]);
-    claimed.push_back(p);
-    if (claimed.size() > depth) {
-      process_pair(pairs[claimed.front()], ctx, batch, dcache, facc);
-      claimed.pop_front();
-    }
-  }
-  while (!claimed.empty()) {
-    process_pair(pairs[claimed.front()], ctx, batch, dcache, facc);
-    claimed.pop_front();
-  }
-  flush_batch(batch, dcache, facc);
-}
-
-void FockBuilderDist::build_static(const scf::FockContext& ctx,
-                                   DCache& dcache, FAcc& facc) {
-  // HONPAS-style static distribution: a cyclic slice of the Schwarz-sorted
-  // pair list. Sorting spreads the expensive pairs evenly over ranks, so
-  // the static split inherits most of the DLB counter's balance without
-  // any shared-counter traffic.
-  const auto& pairs = screen_->sorted_pairs();
-  const auto nranks = static_cast<std::size_t>(ddi_->size());
-  const auto rank = static_cast<std::size_t>(ddi_->rank());
-  const std::size_t depth =
-      opt_.prefetch_depth > 0 ? static_cast<std::size_t>(opt_.prefetch_depth)
-                              : 0;
-  ints::QuartetBatch batch(*eri_);
-  std::deque<std::size_t> claimed;
-  for (std::size_t p = rank; p < pairs.size(); p += nranks) {
-    dcache.request(layout_->shell_tile[pairs[p].i]);
-    dcache.request(layout_->shell_tile[pairs[p].j]);
-    claimed.push_back(p);
-    if (claimed.size() > depth) {
-      process_pair(pairs[claimed.front()], ctx, batch, dcache, facc);
-      claimed.pop_front();
-    }
-  }
-  while (!claimed.empty()) {
-    process_pair(pairs[claimed.front()], ctx, batch, dcache, facc);
-    claimed.pop_front();
-  }
-  flush_batch(batch, dcache, facc);
-}
-
 void FockBuilderDist::build(const la::Matrix& density, la::Matrix& g,
                             const scf::FockContext& ctx) {
   MC_OBS_TRACE("fock:dist");
+  const scf::QuartetCascade cascade = begin_build(ctx);
   const basis::BasisSet& bs = eri_->basis_set();
   const std::size_t nbf = bs.nbf();
   MC_CHECK(g.rows() == nbf && g.cols() == nbf, "G shape mismatch");
-  pairs_ = 0;
-  quartets_ = 0;
-  density_screened_ = 0;
-  static_screened_ = 0;
-  tile_hits_ = 0;
-  tile_misses_ = 0;
   zero_hits_ = 0;
   early_flushes_ = 0;
 
@@ -493,11 +374,49 @@ void FockBuilderDist::build(const la::Matrix& density, la::Matrix& g,
     }
   }
 
-  if (opt_.dynamic_lb) {
-    build_dlb(ctx, dcache, facc);
-  } else {
-    build_static(ctx, dcache, facc);
+  // One claim loop serves both distributions: the DLB counter (GAMESS
+  // dlbnext sequence: one call before the loop, one per claimed pair) or
+  // the HONPAS-style static cyclic slice of the Schwarz-sorted pair list,
+  // which spreads the expensive pairs evenly over ranks without any
+  // shared-counter traffic. Claim-ahead pipeline: keep up to
+  // prefetch_depth claimed pairs in flight, issuing their bra-tile fetches
+  // at claim time so the gets overlap the ERI batches of the pairs ahead
+  // of them (the in-process analogue of double-buffered async prefetch).
+  const auto& pairs = screen_->sorted_pairs();
+  const bool dlb = opt_.dynamic_lb;
+  const auto nranks = static_cast<std::size_t>(ddi_->size());
+  const auto my_rank = static_cast<std::size_t>(rank);
+  const std::size_t depth =
+      opt_.prefetch_depth > 0 ? static_cast<std::size_t>(opt_.prefetch_depth)
+                              : 0;
+  ints::QuartetBatch batch(*eri_);
+  auto process = [&](const ints::ScreenedPair& pr) {
+    ++stats_.pairs_claimed;
+    cascade.for_each_kept(
+        pr.i, pr.j, stats_, [&](std::size_t k, std::size_t l) {
+          batch.add(pr.i, pr.j, k, l);
+          if (batch.full()) flush_batch(batch, dcache, facc);
+        });
+  };
+  if (dlb) ddi_->dlb_reset();
+  long next = dlb ? ddi_->dlbnext() : 0;
+  std::deque<std::size_t> claimed;
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    if (dlb ? static_cast<long>(p) != next : p % nranks != my_rank) continue;
+    if (dlb) next = ddi_->dlbnext();
+    dcache.request(layout_->shell_tile[pairs[p].i]);
+    dcache.request(layout_->shell_tile[pairs[p].j]);
+    claimed.push_back(p);
+    if (claimed.size() > depth) {
+      process(pairs[claimed.front()]);
+      claimed.pop_front();
+    }
   }
+  while (!claimed.empty()) {
+    process(pairs[claimed.front()]);
+    claimed.pop_front();
+  }
+  flush_batch(batch, dcache, facc);
 
   facc.flush_all();
   ddi_->fence(fwin);  // every rank's contributions accumulated
@@ -513,8 +432,9 @@ void FockBuilderDist::build(const la::Matrix& density, la::Matrix& g,
   ddi_->destroy(fwin);
   ddi_->destroy(dwin);
 
-  tile_hits_ = dcache.hits_;
-  tile_misses_ = dcache.misses_;
+  stats_.thread_quartets = {stats_.quartets};
+  stats_.tile_hits = dcache.hits_;
+  stats_.tile_misses = dcache.misses_;
   zero_hits_ = dcache.zero_hits_;
   early_flushes_ = facc.early_flushes_;
   checker.finalize();

@@ -11,7 +11,7 @@
 // Schwarz-sorted pair lists):
 //
 //   * every rank puts its owned D panels into a window and fences once;
-//   * the pair loop (claimed via ddi_dlbnext, or a static cyclic slice)
+//   * one pair loop (claiming via ddi_dlbnext, or a static cyclic slice)
 //     reads remote density panels through a rank-local tile cache with
 //     claim-ahead prefetch, overlapping tile fetches with the batched ERI
 //     pipeline;
@@ -94,7 +94,7 @@ class FockBuilderDist : public scf::FockBuilder {
  public:
   FockBuilderDist(const ints::EriEngine& eri, const ints::Screening& screen,
                   par::Ddi& ddi, DistFockOptions opt = {})
-      : eri_(&eri), screen_(&screen), ddi_(&ddi), opt_(opt) {}
+      : FockBuilder(screen), eri_(&eri), ddi_(&ddi), opt_(opt) {}
 
   [[nodiscard]] std::string name() const override { return "dist-fock"; }
 
@@ -105,34 +105,6 @@ class FockBuilderDist : public scf::FockBuilder {
   void build(const la::Matrix& density, la::Matrix& g,
              const scf::FockContext& ctx) override;
 
-  [[nodiscard]] std::size_t last_pairs_claimed() const override {
-    return pairs_;
-  }
-  [[nodiscard]] std::size_t last_quartets_computed() const override {
-    return quartets_;
-  }
-  [[nodiscard]] std::size_t last_density_screened() const override {
-    return density_screened_;
-  }
-  [[nodiscard]] std::size_t last_static_screened() const override {
-    return static_screened_;
-  }
-  [[nodiscard]] std::vector<std::size_t> last_thread_quartets()
-      const override {
-    return {quartets_};
-  }
-  [[nodiscard]] std::size_t screening_predicted_quartets() const override {
-    return screen_->count_surviving_quartets();
-  }
-  [[nodiscard]] double screening_threshold() const override {
-    return screen_->threshold();
-  }
-  [[nodiscard]] std::size_t last_tile_cache_hits() const override {
-    return tile_hits_;
-  }
-  [[nodiscard]] std::size_t last_tile_cache_misses() const override {
-    return tile_misses_;
-  }
   /// Density-tile requests satisfied by the all-zero shortcut (tiles whose
   /// FockContext block norms are exactly zero are never fetched).
   [[nodiscard]] std::size_t last_zero_tile_hits() const { return zero_hits_; }
@@ -149,25 +121,13 @@ class FockBuilderDist : public scf::FockBuilder {
   struct DCache;  ///< rank-local density-tile cache over the D window
   struct FAcc;    ///< rank-local F panel accumulators, acc-flushed
 
-  void build_dlb(const scf::FockContext& ctx, DCache& dcache, FAcc& facc);
-  void build_static(const scf::FockContext& ctx, DCache& dcache, FAcc& facc);
-  void process_pair(const ints::ScreenedPair& pair,
-                    const scf::FockContext& ctx, ints::QuartetBatch& batch,
-                    DCache& dcache, FAcc& facc);
   void flush_batch(ints::QuartetBatch& batch, DCache& dcache, FAcc& facc);
 
   const ints::EriEngine* eri_;
-  const ints::Screening* screen_;
   par::Ddi* ddi_;
   DistFockOptions opt_;
   std::unique_ptr<TileLayout> layout_;
 
-  std::size_t pairs_ = 0;
-  std::size_t quartets_ = 0;
-  std::size_t density_screened_ = 0;
-  std::size_t static_screened_ = 0;
-  std::size_t tile_hits_ = 0;
-  std::size_t tile_misses_ = 0;
   std::size_t zero_hits_ = 0;
   std::size_t early_flushes_ = 0;
 };

@@ -16,6 +16,7 @@ namespace mc::core {
 void FockBuilderPrivate::build(const la::Matrix& density, la::Matrix& g,
                                const scf::FockContext& ctx) {
   MC_OBS_TRACE("fock:private");
+  const scf::QuartetCascade cascade = begin_build(ctx);
   const basis::BasisSet& bs = eri_->basis_set();
   const std::size_t nbf = bs.nbf();
   MC_CHECK(g.rows() == nbf && g.cols() == nbf, "G shape mismatch");
@@ -26,28 +27,21 @@ void FockBuilderPrivate::build(const la::Matrix& density, la::Matrix& g,
   // absent) instead of raw shell indices -- same largest-first rationale
   // as Algorithm 1's sorted pair list, at i-shell granularity.
   const auto& bra_order = screen_->sorted_bra_shells();
-  const bool weighted = ctx.weighted();
-  const double scale = ctx.threshold_scale;
-
   ddi_->dlb_reset();
-  i_claimed_ = 0;
-  quartets_ = 0;
-  density_screened_ = 0;
-  static_screened_ = 0;
 
   const int nt = opt_.nthreads;
-  thread_quartets_.assign(static_cast<std::size_t>(nt), 0);
+  std::vector<scf::BuildStats> thread_stats(static_cast<std::size_t>(nt));
   std::vector<la::Matrix*> thread_g(static_cast<std::size_t>(nt), nullptr);
   long shared_i = 0;
 
   // Shadow-ownership verifier (MC_CHECK builds; DESIGN.md section 11.3).
   // Algorithm 2 touches far less shared state than Algorithm 3: the rank
   // Fock matrix (written only in the row-chunked reduction), the matrix
-  // pointer slots, and the per-thread quartet counters.
+  // pointer slots, and the per-thread counter slots.
   acc::BuildChecker<> checker(ddi_->rank(), nt);
   const int reg_g = checker.region("G", g.size());
   const int reg_slots = checker.region("thread_g", thread_g.size());
-  const int reg_tq = checker.region("thread_quartets", thread_quartets_.size());
+  const int reg_ts = checker.region("thread_stats", thread_stats.size());
 
   // Team-shared, read-only for the whole region.
   const acc::SharedReadOnly<const la::Matrix&> den(density);
@@ -80,22 +74,9 @@ void FockBuilderPrivate::build(const la::Matrix& density, la::Matrix& g,
     }
     // Thread-private quartet batch for the batched ERI pipeline: digesting
     // into the private gp needs no synchronization, so flushes may happen
-    // at any point before the end-of-region reduction. Scatter runs in
-    // discovery order, keeping the per-thread summation order identical to
-    // the scalar per-quartet path.
+    // at any point before the end-of-region reduction.
     ints::QuartetBatch batch(*eri_);
-    auto flush_batch = [&](la::Matrix& gp_ref) {
-      batch.evaluate();
-      for (std::size_t idx = 0; idx < batch.size(); ++idx) {
-        const ints::QuartetBatch::Entry& e = batch.quartets()[idx];
-        scf::scatter_quartet(bs, e.si, e.sj, e.sk, e.sl, batch.result(idx),
-                             den.get(), gp_ref);
-      }
-      batch.clear();
-    };
-    std::size_t my_quartets = 0;
-    std::size_t my_density_screened = 0;
-    std::size_t my_static_screened = 0;
+    scf::BuildStats mine;
 
     for (;;) {
 #pragma omp master
@@ -106,7 +87,7 @@ void FockBuilderPrivate::build(const la::Matrix& density, la::Matrix& g,
       const long i =
           static_cast<long>(bra_order[static_cast<std::size_t>(claimed)]);
 #pragma omp master
-      ++i_claimed_;
+      ++stats_.pairs_claimed;
       th.set_task(claimed);
       // One span per claimed i task per thread: the per-thread lanes of
       // the chrome trace make the (j,k) load split visible directly.
@@ -119,32 +100,17 @@ void FockBuilderPrivate::build(const la::Matrix& density, la::Matrix& g,
         for (long k = 0; k <= i; ++k) {
           const auto si = static_cast<std::size_t>(i);
           const auto sj = static_cast<std::size_t>(j);
-          // Bra-pair prescreens hoisted out of the l loop: static Schwarz
-          // against qmax, then the density-weighted pair bound.
-          if (!screen_->keep_pair(si, sj)) continue;
-          if (weighted &&
-              !screen_->keep_pair(si, sj, 4.0 * ctx.dmax_max, scale)) {
-            continue;
-          }
+          // Bra-pair prescreen hoisted out of the l loop.
+          if (!cascade.keep_pair(si, sj)) continue;
           const long lmax = (k == i) ? j : k;
           for (long l = 0; l <= lmax; ++l) {
             const auto sk = static_cast<std::size_t>(k);
             const auto sl = static_cast<std::size_t>(l);
-            if (!screen_->keep(si, sj, sk, sl)) {
-              ++my_static_screened;
-              continue;
-            }
-            if (weighted &&
-                !screen_->keep(si, sj, sk, sl,
-                               ctx.quartet_dmax(si, sj, sk, sl), scale)) {
-              ++my_density_screened;
-              continue;
-            }
+            if (!cascade.keep(si, sj, sk, sl, mine)) continue;
             // Queue for batched evaluation; digest updates the *private*
             // 2e-Fock matrix, so no synchronization on flush either.
             batch.add(si, sj, sk, sl);
-            ++my_quartets;
-            if (batch.full()) flush_batch(gp);
+            if (batch.full()) scf::scatter_batch(bs, batch, den.get(), gp);
           }
         }
       }
@@ -153,21 +119,14 @@ void FockBuilderPrivate::build(const la::Matrix& density, la::Matrix& g,
       MC_PROTOCOL_BARRIER(&shared_i, th);
     }
     // Drain quartets queued by the final i tasks before gp is reduced.
-    flush_batch(gp);
-
-#pragma omp atomic
-    quartets_ += my_quartets;
-#pragma omp atomic
-    density_screened_ += my_density_screened;
-#pragma omp atomic
-    static_screened_ += my_static_screened;
-    // Distinct slot per thread; the master reads after the join (the
-    // region-edge TSAN annotations publish it like the atomics above).
+    scf::scatter_batch(bs, batch, den.get(), gp);
     {
-      const acc::OwnedSlice<std::size_t> tq(thread_quartets_.data(),
-                                            thread_quartets_.size(), &th,
-                                            reg_tq, 0);
-      tq.set(static_cast<std::size_t>(tid), my_quartets);
+      // Distinct slot per thread; the master folds them after the join
+      // (published by the region-edge TSAN annotations).
+      const acc::OwnedSlice<scf::BuildStats> ts(thread_stats.data(),
+                                                thread_stats.size(), &th,
+                                                reg_ts, 0);
+      ts.set(static_cast<std::size_t>(tid), mine);
     }
 
     // Reduce the thread-private copies into the rank matrix, row-chunked so
@@ -191,6 +150,7 @@ void FockBuilderPrivate::build(const la::Matrix& density, la::Matrix& g,
   }
   MC_TSAN_ACQUIRE(&shared_i);
   MC_TSAN_OMP_QUIESCE();  // fresh workers for the next region under TSan
+  for (const scf::BuildStats& t : thread_stats) stats_.add_thread(t);
 
   // Surface any recorded ownership violation before the cross-rank
   // reduction publishes a corrupted matrix.

@@ -27,7 +27,7 @@ class FockBuilderPrivate : public scf::FockBuilder {
   FockBuilderPrivate(const ints::EriEngine& eri,
                      const ints::Screening& screen, par::Ddi& ddi,
                      PrivateFockOptions options = {})
-      : eri_(&eri), screen_(&screen), ddi_(&ddi), opt_(options) {}
+      : FockBuilder(screen), eri_(&eri), ddi_(&ddi), opt_(options) {}
 
   [[nodiscard]] std::string name() const override { return "private-fock"; }
 
@@ -35,40 +35,10 @@ class FockBuilderPrivate : public scf::FockBuilder {
   void build(const la::Matrix& density, la::Matrix& g,
              const scf::FockContext& ctx) override;
 
-  [[nodiscard]] std::size_t last_i_claimed() const { return i_claimed_; }
-  [[nodiscard]] std::size_t last_pairs_claimed() const override {
-    return i_claimed_;
-  }
-  [[nodiscard]] std::size_t last_quartets_computed() const override {
-    return quartets_;
-  }
-  [[nodiscard]] std::size_t last_density_screened() const override {
-    return density_screened_;
-  }
-  [[nodiscard]] std::size_t last_static_screened() const override {
-    return static_screened_;
-  }
-  [[nodiscard]] std::vector<std::size_t> last_thread_quartets()
-      const override {
-    return thread_quartets_;
-  }
-  [[nodiscard]] std::size_t screening_predicted_quartets() const override {
-    return screen_->count_surviving_quartets();
-  }
-  [[nodiscard]] double screening_threshold() const override {
-    return screen_->threshold();
-  }
-
  private:
   const ints::EriEngine* eri_;
-  const ints::Screening* screen_;
   par::Ddi* ddi_;
   PrivateFockOptions opt_;
-  std::size_t i_claimed_ = 0;
-  std::size_t quartets_ = 0;
-  std::size_t density_screened_ = 0;
-  std::size_t static_screened_ = 0;
-  std::vector<std::size_t> thread_quartets_;
 };
 
 }  // namespace mc::core

@@ -56,11 +56,45 @@ void flush_buffer(const acc::TeamBuffer<double>& buf,
   MC_PROTOCOL_BARRIER(tag, th);
 }
 
+/// One shell row of a thread's FI or FJ lane: lane row a holds the
+/// contributions to F[off + a, :] of the lane's shell.
+struct LaneRow {
+  const acc::ThreadPrivate<double>* lane;
+  std::size_t base;
+  void add(std::size_t c, double v) const { lane->add(base + c, v); }
+};
+
+/// Algorithm 3's route for the six updates of scf::scatter_updates:
+/// F_ij, F_ik, F_il into the thread's FI lane, F_jl, F_jk into its FJ
+/// lane, and F_kl straight into the shared Fock matrix -- threads hold
+/// distinct kl, so the written row stripes are disjoint (MC_CHECK
+/// verifies it).
+struct SharedRoute {
+  const acc::ThreadPrivate<double>& fi;
+  const acc::ThreadPrivate<double>& fj;
+  const acc::OwnedSlice<double>& f;
+  const la::Matrix& density;
+  std::size_t nbf;
+  [[nodiscard]] LaneRow f_i(int a, std::size_t /*fa*/) const {
+    return {&fi, static_cast<std::size_t>(a) * nbf};
+  }
+  [[nodiscard]] LaneRow f_j(int b, std::size_t /*fb*/) const {
+    return {&fj, static_cast<std::size_t>(b) * nbf};
+  }
+  [[nodiscard]] acc::OwnedSlice<double> f_k(int /*c*/, std::size_t fc) const {
+    return f.slice(fc * nbf, nbf);
+  }
+  [[nodiscard]] const double* d(std::size_t r) const {
+    return density.row(r);
+  }
+};
+
 }  // namespace
 
 void FockBuilderShared::build(const la::Matrix& density, la::Matrix& g,
                               const scf::FockContext& ctx) {
   MC_OBS_TRACE("fock:shared");
+  const scf::QuartetCascade cascade = begin_build(ctx);
   const basis::BasisSet& bs = eri_->basis_set();
   const std::size_t nbf = bs.nbf();
   // The MPI DLB counter walks the Screening's bra-grouped pair list:
@@ -69,20 +103,14 @@ void FockBuilderShared::build(const la::Matrix& density, la::Matrix& g,
   // groups first.
   const auto& bra_pairs = screen_->bra_grouped_pairs();
   const std::size_t nlist = bra_pairs.size();
-  const bool weighted = ctx.weighted();
-  const double scale = ctx.threshold_scale;
   MC_CHECK(g.rows() == nbf && g.cols() == nbf, "G shape mismatch");
   MC_CHECK(opt_.nthreads >= 1, "need at least one thread");
 
   ddi_->dlb_reset();
-  pairs_ = 0;
-  quartets_ = 0;
-  density_screened_ = 0;
-  static_screened_ = 0;
   fi_flushes_ = 0;
 
   const int nt = opt_.nthreads;
-  thread_quartets_.assign(static_cast<std::size_t>(nt), 0);
+  std::vector<scf::BuildStats> thread_stats(static_cast<std::size_t>(nt));
   // mxsize = ubound(Fock) * shellSize (+ padding against false sharing);
   // one column per thread (Algorithm 3 lines 1-3).
   const std::size_t col_stride =
@@ -92,14 +120,14 @@ void FockBuilderShared::build(const la::Matrix& density, la::Matrix& g,
   TrackedBuffer fj("fock_fj_buffer", col_stride * static_cast<std::size_t>(nt));
 
   // Shadow-ownership verifier (MC_CHECK builds; DESIGN.md section 11.3):
-  // the shared Fock matrix, both team buffers, and the per-thread result
+  // the shared Fock matrix, both team buffers, and the per-thread counter
   // slots are registered as checked regions. In normal builds BuildChecker
   // is an empty type and every hook below compiles to nothing.
   acc::BuildChecker<> checker(ddi_->rank(), nt);
   const int reg_f = checker.region("F", g.size());
   const int reg_fi = checker.region("FI", fi.size());
   const int reg_fj = checker.region("FJ", fj.size());
-  const int reg_tq = checker.region("thread_quartets", thread_quartets_.size());
+  const int reg_ts = checker.region("thread_stats", thread_stats.size());
 
   // The density is team-shared and read-only for the whole region; the
   // type has no mutating accessor, so a misrouted update cannot compile.
@@ -147,70 +175,25 @@ void FockBuilderShared::build(const la::Matrix& density, la::Matrix& g,
     const acc::ThreadPrivate<double> fj_lane = fj_buf.lane(tid);
     const acc::OwnedSlice<double> f_acc(g.data(), g.size(), &th, reg_f, 0);
     // Thread-private quartet batch of the batched ERI pipeline. The digest
-    // replays the six-update routing per entry -- including th.set_task on
-    // the entry's kl tag, so the shadow ledger attributes the F_kl writes
-    // to the kl task that owns them. Every batch is drained before the
-    // end-of-kl-loop barrier: the direct F_kl writes rely on this thread's
-    // exclusive ownership of its claimed kl values, which only holds inside
-    // that epoch.
+    // scatters each entry through this thread's route, after th.set_task
+    // on the entry's kl tag so the shadow ledger attributes the F_kl
+    // writes to the kl task that owns them. Every batch is drained before
+    // the end-of-kl-loop barrier: the direct F_kl writes rely on this
+    // thread's exclusive ownership of its claimed kl values, which only
+    // holds inside that epoch.
+    const SharedRoute route{fi_lane, fj_lane, f_acc, den.get(), nbf};
     ints::QuartetBatch qbatch(*eri_);
     auto digest_batch = [&]() {
       qbatch.evaluate();
       for (std::size_t qi = 0; qi < qbatch.size(); ++qi) {
         const ints::QuartetBatch::Entry& e = qbatch.quartets()[qi];
         th.set_task(static_cast<long>(e.tag));
-        const double* vals = qbatch.result(qi);
-        const basis::Shell& shi = bs.shell(e.si);
-        const basis::Shell& shj = bs.shell(e.sj);
-        const basis::Shell& shk = bs.shell(e.sk);
-        const basis::Shell& shl = bs.shell(e.sl);
-        const std::size_t oi = shi.first_bf;
-        const std::size_t oj = shj.first_bf;
-        const std::size_t ok = shk.first_bf;
-        const std::size_t ol = shl.first_bf;
-        const int ni = shi.nfunc();
-        const int nj = shj.nfunc();
-        const int nk = shk.nfunc();
-        const int nl = shl.nfunc();
-        const double w = scf::quartet_degeneracy(e.si, e.sj, e.sk, e.sl);
-
-        // The six updates of eqs. (2a)-(2f), routed per Algorithm 3:
-        //   FI (ThreadPrivate lane):   F_ij, F_ik, F_il
-        //   FJ (ThreadPrivate lane):   F_jl, F_jk
-        //   shared Fock (OwnedSlice):  F_kl -- distinct kl per thread, so
-        //   the written row stripes are disjoint; MC_CHECK verifies it.
-        std::size_t idx = 0;
-        for (int a = 0; a < ni; ++a) {
-          const std::size_t fa = oi + static_cast<std::size_t>(a);
-          const std::size_t abase = static_cast<std::size_t>(a) * nbf;
-          for (int b = 0; b < nj; ++b) {
-            const std::size_t fb = oj + static_cast<std::size_t>(b);
-            const std::size_t bbase = static_cast<std::size_t>(b) * nbf;
-            for (int c = 0; c < nk; ++c) {
-              const std::size_t fc = ok + static_cast<std::size_t>(c);
-              const acc::OwnedSlice<double> gk = f_acc.slice(fc * nbf, nbf);
-              for (int dd = 0; dd < nl; ++dd, ++idx) {
-                const double v = vals[idx];
-                if (v == 0.0) continue;
-                const std::size_t fd = ol + static_cast<std::size_t>(dd);
-                const double x = 0.5 * w * v;
-                const double x4 = 0.25 * x;
-                fi_lane.add(abase + fb, x * den(fc, fd));    // F_ij
-                gk.add(fd, x * den(fa, fb));                 // F_kl (shared)
-                fi_lane.add(abase + fc, -x4 * den(fb, fd));  // F_ik
-                fj_lane.add(bbase + fd, -x4 * den(fa, fc));  // F_jl
-                fi_lane.add(abase + fd, -x4 * den(fb, fc));  // F_il
-                fj_lane.add(bbase + fc, -x4 * den(fa, fd));  // F_jk
-              }
-            }
-          }
-        }
+        scf::scatter_updates(bs, e.si, e.sj, e.sk, e.sl, qbatch.result(qi),
+                             route);
       }
       qbatch.clear();
     };
-    std::size_t my_quartets = 0;
-    std::size_t my_density_screened = 0;
-    std::size_t my_static_screened = 0;
+    scf::BuildStats mine;
 
     for (;;) {
 #pragma omp master
@@ -219,15 +202,12 @@ void FockBuilderShared::build(const la::Matrix& density, la::Matrix& g,
         plan.skip = false;
         plan.flush_shell = -1;
         if (plan.ij < static_cast<long>(nlist)) {
-          ++pairs_;
+          ++stats_.pairs_claimed;
           const ints::ScreenedPair& pr =
               bra_pairs[static_cast<std::size_t>(plan.ij)];
-          // Static Schwarz prescreening (Algorithm 3 line 13) is already
-          // baked into the list; only the density-weighted pair bound
-          // remains to be checked per iteration.
-          plan.skip =
-              weighted &&
-              !screen_->keep_pair(pr.i, pr.j, 4.0 * ctx.dmax_max, scale);
+          // The ij prescreen of Algorithm 3 line 13 (its static half is
+          // already baked into the list).
+          plan.skip = !cascade.keep_pair(pr.i, pr.j);
           if (!plan.skip) {
             // Lazy FI flush: only when the i index changed since the last
             // unscreened pair (Algorithm 3 lines 15-18).
@@ -270,19 +250,10 @@ void FockBuilderShared::build(const la::Matrix& density, la::Matrix& g,
         th.set_task(kl);
         const auto [k, l] =
             screen_->pair_shells(static_cast<std::size_t>(kl));
-        if (!screen_->keep(i, j, k, l)) {  // Schwartz screening
-          ++my_static_screened;
-          continue;
-        }
-        if (weighted && !screen_->keep(i, j, k, l,
-                                       ctx.quartet_dmax(i, j, k, l), scale)) {
-          ++my_density_screened;
-          continue;
-        }
+        if (!cascade.keep(i, j, k, l, mine)) continue;
         // Queue (i,j|k,l); the kl tag routes the digest's F_kl writes back
         // to this task in the shadow ledger.
         qbatch.add(i, j, k, l, static_cast<std::uint64_t>(kl));
-        ++my_quartets;
         if (qbatch.full()) digest_batch();
       }
       // Drain before the epoch ends: F_kl exclusivity only holds until the
@@ -307,23 +278,18 @@ void FockBuilderShared::build(const la::Matrix& density, la::Matrix& g,
       ++fi_flushes_;
     }
 
-#pragma omp atomic
-    quartets_ += my_quartets;
-#pragma omp atomic
-    density_screened_ += my_density_screened;
-#pragma omp atomic
-    static_screened_ += my_static_screened;
     // Distinct slot per thread, claimed through the checked slice; the
-    // master reads after the join (published by the region-edge TSAN
-    // annotations like the atomics above).
-    const acc::OwnedSlice<std::size_t> tq(thread_quartets_.data(),
-                                          thread_quartets_.size(), &th,
-                                          reg_tq, 0);
-    tq.set(static_cast<std::size_t>(tid), my_quartets);
+    // master folds them after the join (published by the region-edge TSAN
+    // annotations).
+    const acc::OwnedSlice<scf::BuildStats> ts(thread_stats.data(),
+                                              thread_stats.size(), &th,
+                                              reg_ts, 0);
+    ts.set(static_cast<std::size_t>(tid), mine);
     MC_TSAN_RELEASE(&plan);
   }
   MC_TSAN_ACQUIRE(&plan);
   MC_TSAN_OMP_QUIESCE();  // fresh workers for the next region under TSan
+  for (const scf::BuildStats& t : thread_stats) stats_.add_thread(t);
 
   // Surface any recorded ownership violation before the cross-rank
   // reduction publishes a corrupted matrix.

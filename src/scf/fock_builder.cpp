@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "ints/eri_batch.hpp"
 
 namespace mc::scf {
 
@@ -35,45 +36,69 @@ FockContext FockContext::from_density(const basis::BasisSet& bs,
   return ctx;
 }
 
+QuartetCascade::QuartetCascade(const ints::Screening& screen,
+                               const FockContext& ctx)
+    : screen_(&screen),
+      ctx_(&ctx),
+      weighted_(ctx.weighted()),
+      pair_dmax_(4.0 * ctx.dmax_max),
+      scale_(ctx.threshold_scale) {
+  if (weighted_) {
+    MC_CHECK(ctx.nshells == screen.nshells() &&
+                 ctx.dmax.size() == ctx.nshells * ctx.nshells,
+             "FockContext was built for another basis (shell count "
+             "mismatch)");
+  }
+}
+
+QuartetCascade FockBuilder::begin_build(const FockContext& ctx) {
+  MC_CHECK(screen_ != nullptr, "builder has no Screening attached");
+  stats_ = BuildStats{};
+  return QuartetCascade(*screen_, ctx);
+}
+
+namespace {
+
+/// One row of a replicated matrix.
+struct MatrixRow {
+  double* p;
+  void add(std::size_t c, double v) const { p[c] += v; }
+};
+
+/// The replicated-matrix route: all six updates land in g.
+struct MatrixRoute {
+  const la::Matrix& dm;
+  la::Matrix& gm;
+  [[nodiscard]] MatrixRow f_i(int /*a*/, std::size_t r) const {
+    return {gm.row(r)};
+  }
+  [[nodiscard]] MatrixRow f_j(int /*b*/, std::size_t r) const {
+    return {gm.row(r)};
+  }
+  [[nodiscard]] MatrixRow f_k(int /*c*/, std::size_t r) const {
+    return {gm.row(r)};
+  }
+  [[nodiscard]] const double* d(std::size_t r) const { return dm.row(r); }
+};
+
+}  // namespace
+
 void scatter_quartet(const basis::BasisSet& bs, std::size_t si,
                      std::size_t sj, std::size_t sk, std::size_t sl,
-                     const double* batch, const la::Matrix& d,
+                     const double* vals, const la::Matrix& d,
                      la::Matrix& g) {
-  const basis::Shell& shi = bs.shell(si);
-  const basis::Shell& shj = bs.shell(sj);
-  const basis::Shell& shk = bs.shell(sk);
-  const basis::Shell& shl = bs.shell(sl);
-  const int ni = shi.nfunc(), nj = shj.nfunc(), nk = shk.nfunc(),
-            nl = shl.nfunc();
-  const std::size_t oi = shi.first_bf, oj = shj.first_bf, ok = shk.first_bf,
-                    ol = shl.first_bf;
-  const double w = quartet_degeneracy(si, sj, sk, sl);
+  scatter_updates(bs, si, sj, sk, sl, vals, MatrixRoute{d, g});
+}
 
-  std::size_t idx = 0;
-  for (int a = 0; a < ni; ++a) {
-    const std::size_t fa = oi + static_cast<std::size_t>(a);
-    for (int b = 0; b < nj; ++b) {
-      const std::size_t fb = oj + static_cast<std::size_t>(b);
-      for (int c = 0; c < nk; ++c) {
-        const std::size_t fc = ok + static_cast<std::size_t>(c);
-        for (int dd = 0; dd < nl; ++dd, ++idx) {
-          const std::size_t fd = ol + static_cast<std::size_t>(dd);
-          const double v = batch[idx];
-          if (v == 0.0) continue;
-          // X = w*v/2; Coulomb coefficient 1, exchange -1/4 (see the
-          // derivation in the FockBuilder header). Paper eqs. 2a-2f.
-          const double x = 0.5 * w * v;
-          const double x4 = 0.25 * x;
-          g(fa, fb) += x * d(fc, fd);
-          g(fc, fd) += x * d(fa, fb);
-          g(fa, fc) -= x4 * d(fb, fd);
-          g(fb, fd) -= x4 * d(fa, fc);
-          g(fa, fd) -= x4 * d(fb, fc);
-          g(fb, fc) -= x4 * d(fa, fd);
-        }
-      }
-    }
+void scatter_batch(const basis::BasisSet& bs, ints::QuartetBatch& batch,
+                   const la::Matrix& d, la::Matrix& g) {
+  batch.evaluate();
+  const MatrixRoute route{d, g};
+  for (std::size_t idx = 0; idx < batch.size(); ++idx) {
+    const ints::QuartetBatch::Entry& e = batch.quartets()[idx];
+    scatter_updates(bs, e.si, e.sj, e.sk, e.sl, batch.result(idx), route);
   }
+  batch.clear();
 }
 
 }  // namespace mc::scf

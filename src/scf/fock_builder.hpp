@@ -18,10 +18,14 @@
 //     passes the same D and every rank's G holds the fully reduced result
 //     on return.
 //
-// The canonical shell-quartet scatter shared by all implementations lives
-// in scatter_quartet() below; the implementations differ only in *where*
-// each of the six updates (paper eqs. 2a-2f) is accumulated and how the
-// quartet loop is distributed -- which is exactly the paper's subject.
+// Everything the screened builders share lives in this header, so each
+// builder is only a distribution plus an accumulation target (DESIGN.md
+// section 9.4):
+//   * QuartetCascade -- which quartets survive: the static Schwarz bound,
+//     then the density-weighted bound, at pair and quartet level;
+//   * scatter_updates -- the six updates of paper eqs. 2a-2f, one
+//     arithmetic in one order, written through a builder-supplied route;
+//   * BuildStats -- what a build counts, reported by the base's getters.
 
 #include <algorithm>
 #include <cstddef>
@@ -32,6 +36,10 @@
 #include "ints/eri.hpp"
 #include "ints/screening.hpp"
 #include "la/matrix.hpp"
+
+namespace mc::ints {
+class QuartetBatch;
+}
 
 namespace mc::scf {
 
@@ -80,81 +88,34 @@ struct FockContext {
                                   const la::Matrix& d, bool incremental);
 };
 
-class FockBuilder {
- public:
-  virtual ~FockBuilder() = default;
-  [[nodiscard]] virtual std::string name() const = 0;
-  /// Context-aware build (see the header comment for the contract).
-  virtual void build(const la::Matrix& density, la::Matrix& g,
-                     const FockContext& ctx) = 0;
-  /// Full-density convenience overload: trivial context, static screening.
-  void build(const la::Matrix& density, la::Matrix& g) {
-    build(density, g, FockContext{});
-  }
+/// The counters of one build on one rank. Every screened builder runs the
+/// same QuartetCascade over the same quartet set, so the rank-summed
+/// quartets and kills are equal across algorithms and rank counts; only
+/// pairs_claimed counts each algorithm's own task unit.
+struct BuildStats {
+  /// MPI-level tasks (bra pairs, or bra shells for private Fock) claimed.
+  std::size_t pairs_claimed = 0;
+  /// Quartets that survived the cascade and were computed.
+  std::size_t quartets = 0;
+  /// Quartets killed by the static Schwarz bound.
+  std::size_t static_screened = 0;
+  /// Quartets that passed the static bound but not the density bound.
+  std::size_t density_screened = 0;
+  /// Per-OpenMP-thread split of `quartets` (one entry when single-threaded).
+  std::vector<std::size_t> thread_quartets;
+  /// Density-tile reads served by the rank-local cache / fetched remotely.
+  std::size_t tile_hits = 0;
+  std::size_t tile_misses = 0;
 
-  /// Quartets this builder (this rank, for distributed builders) computed
-  /// in the last build. 0 for builders that do not count.
-  [[nodiscard]] virtual std::size_t last_quartets_computed() const {
-    return 0;
-  }
-  /// Quartets that passed static Schwarz screening but were killed by the
-  /// density-weighted bound in the last build (0 for trivial contexts).
-  [[nodiscard]] virtual std::size_t last_density_screened() const {
-    return 0;
-  }
-  /// Quartet candidates this builder visited and killed with the static
-  /// Schwarz bound in the last build. Counted at quartet granularity, so
-  /// builders that prescreen whole bra pairs (private-Fock) report fewer
-  /// visits than ones that enumerate every kl under a surviving pair --
-  /// the count is comparable across rank counts of one algorithm, not
-  /// across algorithms (DESIGN.md section 10).
-  [[nodiscard]] virtual std::size_t last_static_screened() const { return 0; }
-  /// MPI-level tasks (bra pairs or bra shells) this rank claimed in the
-  /// last build. 0 for builders without an MPI task loop.
-  [[nodiscard]] virtual std::size_t last_pairs_claimed() const { return 0; }
-  /// Per-OpenMP-thread split of last_quartets_computed() for this rank
-  /// (size = thread count; single-threaded builders report one entry).
-  /// Empty for builders that do not count.
-  [[nodiscard]] virtual std::vector<std::size_t> last_thread_quartets()
-      const {
-    return {};
-  }
-  /// Exact static-survivor quartet count of the attached screening -- the
-  /// number a trivial-context build must compute (summed over ranks).
-  /// O(Nshells^4/8); profiling-time use only. 0 = unknown.
-  [[nodiscard]] virtual std::size_t screening_predicted_quartets() const {
-    return 0;
-  }
-  /// Schwarz threshold of the attached Screening (0 = unscreened builder);
-  /// the SCF drivers' incremental error estimate scales with it.
-  [[nodiscard]] virtual double screening_threshold() const { return 0.0; }
-  /// Density-tile reads of the last build served from the rank-local cache
-  /// vs fetched one-sidedly from the distributed window. Zero for the
-  /// replicated-matrix builders, which have no tile traffic.
-  [[nodiscard]] virtual std::size_t last_tile_cache_hits() const { return 0; }
-  [[nodiscard]] virtual std::size_t last_tile_cache_misses() const {
-    return 0;
+  /// Fold one OpenMP thread's quartet counts into this rank's record;
+  /// call once per thread, in thread order.
+  void add_thread(const BuildStats& t) {
+    quartets += t.quartets;
+    static_screened += t.static_screened;
+    density_screened += t.density_screened;
+    thread_quartets.push_back(t.quartets);
   }
 };
-
-/// Degeneracy weight of a canonical shell quartet (the size of its orbit
-/// under the 8-fold permutational symmetry at shell level).
-inline double quartet_degeneracy(std::size_t si, std::size_t sj,
-                                 std::size_t sk, std::size_t sl) {
-  const double dij = (si == sj) ? 1.0 : 2.0;
-  const double dkl = (sk == sl) ? 1.0 : 2.0;
-  const double dpair = (si == sk && sj == sl) ? 1.0 : 2.0;
-  return dij * dkl * dpair;
-}
-
-/// Scatter one computed quartet batch into a single accumulation target
-/// (used by the replicated-matrix algorithms; the shared-Fock algorithm
-/// splits the six updates across buffers itself).
-///
-/// batch layout: [a][b][c][d] over the Cartesian components of the shells.
-void scatter_quartet(const basis::BasisSet& bs, std::size_t si,
-                     std::size_t sj, std::size_t sk, std::size_t sl,
-                     const double* batch, const la::Matrix& d, la::Matrix& g);
 
 /// Iterate the canonical quartet list for a fixed (i, j) shell pair:
 /// k in [0, i], l in [0, (k == i ? j : k)] -- the "kl <= ij" pair-index
@@ -175,5 +136,211 @@ inline std::size_t kl_count(std::size_t i, std::size_t j) {
   // sum_{k<i} (k+1) + (j+1)
   return i * (i + 1) / 2 + j + 1;
 }
+
+/// Which quartets a build computes (DESIGN.md section 9.1): the static
+/// Schwarz bound, then -- for a weighted context -- the density-weighted
+/// bound, at bra-pair level and at quartet level. Built once per build();
+/// every screened builder asks it, so the computed set and the counters
+/// do not depend on the algorithm.
+class QuartetCascade {
+ public:
+  /// Throws mc::Error if a weighted `ctx` was made for another basis
+  /// (its block norms would be indexed with this basis's shells).
+  QuartetCascade(const ints::Screening& screen, const FockContext& ctx);
+
+  /// Can any quartet under bra pair (i, j) survive? Static q_ij * qmax
+  /// bound, then the density pair bound q_ij * qmax * 4*dmax_max, which
+  /// dominates every quartet bound below it.
+  [[nodiscard]] bool keep_pair(std::size_t i, std::size_t j) const {
+    return screen_->keep_pair(i, j) &&
+           (!weighted_ || screen_->keep_pair(i, j, pair_dmax_, scale_));
+  }
+
+  /// Does quartet (i,j|k,l) survive? Counts the outcome into `stats`: a
+  /// static kill, a density kill, or a computed quartet.
+  bool keep(std::size_t i, std::size_t j, std::size_t k, std::size_t l,
+            BuildStats& stats) const {
+    if (!screen_->keep(i, j, k, l)) {
+      ++stats.static_screened;
+      return false;
+    }
+    if (weighted_ && !screen_->keep(i, j, k, l,
+                                    ctx_->quartet_dmax(i, j, k, l), scale_)) {
+      ++stats.density_screened;
+      return false;
+    }
+    ++stats.quartets;
+    return true;
+  }
+
+  /// fn(k, l) for every kept quartet of bra pair (i, j), in for_each_kl
+  /// order; nothing (and nothing counted) if the pair prescreen fails.
+  template <typename Fn>
+  void for_each_kept(std::size_t i, std::size_t j, BuildStats& stats,
+                     Fn&& fn) const {
+    if (!keep_pair(i, j)) return;
+    for_each_kl(i, j, [&](std::size_t k, std::size_t l) {
+      if (keep(i, j, k, l, stats)) fn(k, l);
+    });
+  }
+
+ private:
+  const ints::Screening* screen_;
+  const FockContext* ctx_;
+  bool weighted_;
+  double pair_dmax_;  ///< 4 * ctx.dmax_max
+  double scale_;
+};
+
+class FockBuilder {
+ public:
+  virtual ~FockBuilder() = default;
+  [[nodiscard]] virtual std::string name() const = 0;
+  /// Context-aware build (see the header comment for the contract).
+  virtual void build(const la::Matrix& density, la::Matrix& g,
+                     const FockContext& ctx) = 0;
+  /// Full-density convenience overload: trivial context, static screening.
+  void build(const la::Matrix& density, la::Matrix& g) {
+    build(density, g, FockContext{});
+  }
+
+  // Counters of the last build on this rank (BuildStats). Builders without
+  // a Screening count nothing and report zeros.
+
+  /// Quartets computed.
+  [[nodiscard]] virtual std::size_t last_quartets_computed() const {
+    return stats_.quartets;
+  }
+  /// Quartets that passed static Schwarz screening but were killed by the
+  /// density-weighted bound (0 for trivial contexts).
+  [[nodiscard]] virtual std::size_t last_density_screened() const {
+    return stats_.density_screened;
+  }
+  /// Quartets killed by the static Schwarz bound. Every builder runs the
+  /// same QuartetCascade over the same pairs, so the rank-summed count is
+  /// equal across algorithms and rank counts (DESIGN.md section 10.2).
+  [[nodiscard]] virtual std::size_t last_static_screened() const {
+    return stats_.static_screened;
+  }
+  /// MPI-level tasks (bra pairs or bra shells) this rank claimed. 0 for
+  /// builders without an MPI task loop.
+  [[nodiscard]] virtual std::size_t last_pairs_claimed() const {
+    return stats_.pairs_claimed;
+  }
+  /// Per-OpenMP-thread split of last_quartets_computed() for this rank
+  /// (size = thread count; single-threaded builders report one entry).
+  /// Empty for builders that do not count.
+  [[nodiscard]] virtual std::vector<std::size_t> last_thread_quartets()
+      const {
+    return stats_.thread_quartets;
+  }
+  /// Exact static-survivor quartet count of the attached screening -- the
+  /// number a trivial-context build must compute (summed over ranks).
+  /// O(Nshells^4/8); profiling-time use only. 0 = unknown.
+  [[nodiscard]] virtual std::size_t screening_predicted_quartets() const {
+    return screen_ != nullptr ? screen_->count_surviving_quartets() : 0;
+  }
+  /// Schwarz threshold of the attached Screening (0 = unscreened builder);
+  /// the SCF drivers' incremental error estimate scales with it.
+  [[nodiscard]] virtual double screening_threshold() const {
+    return screen_ != nullptr ? screen_->threshold() : 0.0;
+  }
+  /// Density-tile reads served from the rank-local cache vs fetched
+  /// one-sidedly from the distributed window. Zero for the
+  /// replicated-matrix builders, which have no tile traffic.
+  [[nodiscard]] virtual std::size_t last_tile_cache_hits() const {
+    return stats_.tile_hits;
+  }
+  [[nodiscard]] virtual std::size_t last_tile_cache_misses() const {
+    return stats_.tile_misses;
+  }
+
+ protected:
+  FockBuilder() = default;
+  explicit FockBuilder(const ints::Screening& screen) : screen_(&screen) {}
+
+  /// Zeroes stats_ and returns this build's cascade. Call first in build(),
+  /// before any collective: a context from another basis throws on every
+  /// rank alike.
+  [[nodiscard]] QuartetCascade begin_build(const FockContext& ctx);
+
+  const ints::Screening* screen_ = nullptr;
+  BuildStats stats_;
+};
+
+/// Degeneracy weight of a canonical shell quartet (the size of its orbit
+/// under the 8-fold permutational symmetry at shell level).
+inline double quartet_degeneracy(std::size_t si, std::size_t sj,
+                                 std::size_t sk, std::size_t sl) {
+  const double dij = (si == sj) ? 1.0 : 2.0;
+  const double dkl = (sk == sl) ? 1.0 : 2.0;
+  const double dpair = (si == sk && sj == sl) ? 1.0 : 2.0;
+  return dij * dkl * dpair;
+}
+
+/// The six updates of one computed quartet, paper eqs. 2a-2f: with
+/// X = w*v/2 (w the degeneracy), F_ij += X D_kl and F_kl += X D_ij
+/// (Coulomb), F_ik, F_jl, F_il, F_jk -= X/4 D_jl, D_ik, D_jk, D_il
+/// (exchange). `vals` is the [a][b][c][d] batch over the shells' Cartesian
+/// components. Every builder writes them here, in this order, so builders
+/// differ only in the `route` -- where each update lands:
+///   route.f_i(a, fa), route.f_j(b, fb), route.f_k(c, fc): the F rows of
+///     component a (function fa) of shell i, etc. -- anything with
+///     add(col, v);
+///   route.d(r): the density row r as a const double*.
+/// The exchange terms are added negated; negation is exact, so this is
+/// bitwise the same as subtracting.
+template <typename Route>
+void scatter_updates(const basis::BasisSet& bs, std::size_t si,
+                     std::size_t sj, std::size_t sk, std::size_t sl,
+                     const double* vals, const Route& route) {
+  const basis::Shell& shi = bs.shell(si);
+  const basis::Shell& shj = bs.shell(sj);
+  const basis::Shell& shk = bs.shell(sk);
+  const basis::Shell& shl = bs.shell(sl);
+  const int ni = shi.nfunc(), nj = shj.nfunc(), nk = shk.nfunc(),
+            nl = shl.nfunc();
+  const double w = quartet_degeneracy(si, sj, sk, sl);
+
+  std::size_t idx = 0;
+  for (int a = 0; a < ni; ++a) {
+    const std::size_t fa = shi.first_bf + static_cast<std::size_t>(a);
+    const auto f_a = route.f_i(a, fa);
+    const double* d_a = route.d(fa);
+    for (int b = 0; b < nj; ++b) {
+      const std::size_t fb = shj.first_bf + static_cast<std::size_t>(b);
+      const auto f_b = route.f_j(b, fb);
+      const double* d_b = route.d(fb);
+      for (int c = 0; c < nk; ++c) {
+        const std::size_t fc = shk.first_bf + static_cast<std::size_t>(c);
+        const auto f_c = route.f_k(c, fc);
+        const double* d_c = route.d(fc);
+        for (int dd = 0; dd < nl; ++dd, ++idx) {
+          const std::size_t fd = shl.first_bf + static_cast<std::size_t>(dd);
+          const double v = vals[idx];
+          if (v == 0.0) continue;
+          const double x = 0.5 * w * v;
+          const double x4 = 0.25 * x;
+          f_a.add(fb, x * d_c[fd]);       // F_ij
+          f_c.add(fd, x * d_a[fb]);       // F_kl
+          f_a.add(fc, -(x4 * d_b[fd]));   // F_ik
+          f_b.add(fd, -(x4 * d_a[fc]));   // F_jl
+          f_a.add(fd, -(x4 * d_b[fc]));   // F_il
+          f_b.add(fc, -(x4 * d_a[fd]));   // F_jk
+        }
+      }
+    }
+  }
+}
+
+/// scatter_updates of one quartet into a single replicated matrix g.
+void scatter_quartet(const basis::BasisSet& bs, std::size_t si,
+                     std::size_t sj, std::size_t sk, std::size_t sl,
+                     const double* vals, const la::Matrix& d, la::Matrix& g);
+
+/// Evaluate `batch`, scatter every entry into g in discovery order (so G
+/// matches the per-quartet scalar path bitwise), then clear it.
+void scatter_batch(const basis::BasisSet& bs, ints::QuartetBatch& batch,
+                   const la::Matrix& d, la::Matrix& g);
 
 }  // namespace mc::scf

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "ints/eri_batch.hpp"
 #include "obs/trace.hpp"
 
 namespace mc::scf {
@@ -11,84 +10,33 @@ namespace mc::scf {
 void SerialFockBuilder::build(const la::Matrix& density, la::Matrix& g,
                               const FockContext& ctx) {
   MC_OBS_TRACE("fock:serial");
+  const QuartetCascade cascade = begin_build(ctx);
   const basis::BasisSet& bs = eri_->basis_set();
-  quartets_ = 0;
-  density_screened_ = 0;
-  static_screened_ = 0;
-  pairs_ = 0;
-  const bool weighted = ctx.weighted();
-  const double scale = ctx.threshold_scale;
 
-  if (batch_capacity_ == 0) {
-    // Legacy scalar path: per-quartet compute + scatter. Kept selectable so
-    // tests can pin the two engines against each other (results and
-    // screening counters must agree; see test_incremental.cpp).
-    std::vector<double> batch;
-    for (const ints::ScreenedPair& pr : screen_->sorted_pairs()) {
-      const std::size_t i = pr.i;
-      const std::size_t j = pr.j;
-      ++pairs_;
-      // Pair-level density prescreen: bounds every quartet under this bra
-      // pair by q_ij * qmax * 4*max|D|, the loosest quartet bound below.
-      if (weighted && !screen_->keep_pair(i, j, 4.0 * ctx.dmax_max, scale)) {
-        continue;
-      }
-      for_each_kl(i, j, [&](std::size_t k, std::size_t l) {
-        if (!screen_->keep(i, j, k, l)) {
-          ++static_screened_;
-          return;
-        }
-        if (weighted &&
-            !screen_->keep(i, j, k, l, ctx.quartet_dmax(i, j, k, l), scale)) {
-          ++density_screened_;
-          return;
-        }
-        ints::ensure_batch_size(batch, eri_->batch_size(i, j, k, l));
-        eri_->compute(i, j, k, l, batch.data());
-        scatter_quartet(bs, i, j, k, l, batch.data(), density, g);
-        ++quartets_;
-      });
-    }
-    return;
-  }
-
-  // Batched path: identical screening decisions; surviving quartets queue
-  // into a QuartetBatch and are digested in discovery order at each flush,
-  // so the scatter summation order -- and therefore G -- matches the
-  // scalar path bitwise (flush boundaries never change a value).
-  ints::QuartetBatch batch(*eri_, batch_capacity_);
-  auto flush = [&] {
-    batch.evaluate();
-    for (std::size_t idx = 0; idx < batch.size(); ++idx) {
-      const ints::QuartetBatch::Entry& e = batch.quartets()[idx];
-      scatter_quartet(bs, e.si, e.sj, e.sk, e.sl, batch.result(idx), density,
-                      g);
-    }
-    batch.clear();
-  };
+  // Survivors queue into the batch and are digested in discovery order at
+  // each flush, so the scatter summation order -- and therefore G --
+  // matches the scalar reference path bitwise (flush boundaries never
+  // change a value). The scalar path stays selectable so tests can pin the
+  // two engines against each other (see test_incremental.cpp).
+  const bool scalar = batch_capacity_ == 0;
+  ints::QuartetBatch batch(*eri_, scalar ? 1 : batch_capacity_);
+  std::vector<double> vals;
   for (const ints::ScreenedPair& pr : screen_->sorted_pairs()) {
-    const std::size_t i = pr.i;
-    const std::size_t j = pr.j;
-    ++pairs_;
-    if (weighted && !screen_->keep_pair(i, j, 4.0 * ctx.dmax_max, scale)) {
-      continue;
-    }
-    for_each_kl(i, j, [&](std::size_t k, std::size_t l) {
-      if (!screen_->keep(i, j, k, l)) {
-        ++static_screened_;
-        return;
-      }
-      if (weighted &&
-          !screen_->keep(i, j, k, l, ctx.quartet_dmax(i, j, k, l), scale)) {
-        ++density_screened_;
-        return;
-      }
-      batch.add(i, j, k, l);
-      ++quartets_;
-      if (batch.full()) flush();
-    });
+    ++stats_.pairs_claimed;
+    cascade.for_each_kept(
+        pr.i, pr.j, stats_, [&](std::size_t k, std::size_t l) {
+          if (scalar) {
+            ints::ensure_batch_size(vals, eri_->batch_size(pr.i, pr.j, k, l));
+            eri_->compute(pr.i, pr.j, k, l, vals.data());
+            scatter_quartet(bs, pr.i, pr.j, k, l, vals.data(), density, g);
+            return;
+          }
+          batch.add(pr.i, pr.j, k, l);
+          if (batch.full()) scatter_batch(bs, batch, density, g);
+        });
   }
-  flush();
+  scatter_batch(bs, batch, density, g);
+  stats_.thread_quartets = {stats_.quartets};
 }
 
 void BruteForceFockBuilder::build(const la::Matrix& density, la::Matrix& g,

@@ -10,62 +10,35 @@
 //    no permutational symmetry and no screening; definitionally correct,
 //    used to validate the skeleton scatter itself on tiny systems.
 
+#include "ints/eri_batch.hpp"
 #include "scf/fock_builder.hpp"
 
 namespace mc::scf {
 
 /// Default quartet-batch capacity of the serial builder's batched ERI
-/// pipeline (= ints::kDefaultBatchCapacity; restated here so the header
-/// need not pull in eri_batch.hpp).
-inline constexpr std::size_t kSerialFockBatchCapacity = 64;
+/// pipeline.
+inline constexpr std::size_t kSerialFockBatchCapacity =
+    ints::kDefaultBatchCapacity;
 
 class SerialFockBuilder : public FockBuilder {
  public:
   /// `batch_capacity` sizes the quartet batch of the SIMD-friendly batched
-  /// ERI pipeline (DESIGN.md section 12); 0 selects the legacy per-quartet
-  /// scalar path. Both paths make identical screening decisions and
-  /// produce bitwise-identical G.
+  /// ERI pipeline (DESIGN.md section 12); 0 selects the scalar reference
+  /// path, which evaluates each surviving quartet with EriEngine::compute.
+  /// Both paths screen through the same QuartetCascade and produce
+  /// bitwise-identical G.
   SerialFockBuilder(const ints::EriEngine& eri, const ints::Screening& screen,
                     std::size_t batch_capacity = kSerialFockBatchCapacity)
-      : eri_(&eri), screen_(&screen), batch_capacity_(batch_capacity) {}
+      : FockBuilder(screen), eri_(&eri), batch_capacity_(batch_capacity) {}
 
   [[nodiscard]] std::string name() const override { return "serial"; }
   using FockBuilder::build;
   void build(const la::Matrix& density, la::Matrix& g,
              const FockContext& ctx) override;
 
-  /// Quartets that survived screening in the last build (statistics).
-  [[nodiscard]] std::size_t last_quartets_computed() const override {
-    return quartets_;
-  }
-  [[nodiscard]] std::size_t last_density_screened() const override {
-    return density_screened_;
-  }
-  [[nodiscard]] std::size_t last_static_screened() const override {
-    return static_screened_;
-  }
-  [[nodiscard]] std::size_t last_pairs_claimed() const override {
-    return pairs_;
-  }
-  [[nodiscard]] std::vector<std::size_t> last_thread_quartets()
-      const override {
-    return {quartets_};
-  }
-  [[nodiscard]] std::size_t screening_predicted_quartets() const override {
-    return screen_->count_surviving_quartets();
-  }
-  [[nodiscard]] double screening_threshold() const override {
-    return screen_->threshold();
-  }
-
  private:
   const ints::EriEngine* eri_;
-  const ints::Screening* screen_;
   std::size_t batch_capacity_ = kSerialFockBatchCapacity;
-  std::size_t quartets_ = 0;
-  std::size_t density_screened_ = 0;
-  std::size_t static_screened_ = 0;
-  std::size_t pairs_ = 0;
 };
 
 class BruteForceFockBuilder : public FockBuilder {

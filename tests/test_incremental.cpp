@@ -9,11 +9,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "core/parallel_scf.hpp"
 #include "fock_fixture.hpp"
 #include "scf/stored_integrals.hpp"
@@ -235,6 +238,67 @@ TEST(WeightedScreening, BatchedEngineScreensIdenticallyToScalar) {
   EXPECT_EQ(batched.last_pairs_claimed(), scalar.last_pairs_claimed());
   expect_bit_comparable(g_batched, g_scalar, 0,
                         "batched vs scalar serial delta exact");
+}
+
+TEST(WeightedScreening, ContextFromAnotherBasisIsRejected) {
+  // A weighted context carries block norms indexed by its own basis's
+  // shells; handed to a builder over a bigger basis, the density bound
+  // would read past its end. Every builder must refuse it up front --
+  // before any collective, so every rank throws alike.
+  const FockFixture& fx = benzene_fx();
+  const basis::BasisSet water_bs =
+      basis::BasisSet::build(chem::builders::water(), "STO-3G");
+  ASSERT_NE(water_bs.nshells(), fx.bs.nshells());
+  la::Matrix d_water(water_bs.nbf(), water_bs.nbf());
+  for (std::size_t a = 0; a < water_bs.nbf(); ++a) d_water(a, a) = 1e-3;
+  const scf::FockContext foreign =
+      scf::FockContext::from_density(water_bs, d_water, /*incremental=*/true);
+  la::Matrix d(fx.bs.nbf(), fx.bs.nbf());
+  for (std::size_t a = 0; a < fx.bs.nbf(); ++a) d(a, a) = 1e-3;
+
+  for (const std::size_t cap :
+       {std::size_t{0}, scf::kSerialFockBatchCapacity}) {
+    scf::SerialFockBuilder serial(fx.eri, fx.screen, cap);
+    la::Matrix g(fx.bs.nbf(), fx.bs.nbf());
+    EXPECT_THROW(serial.build(d, g, foreign), mc::Error) << "capacity " << cap;
+  }
+
+  using Make = std::function<std::unique_ptr<scf::FockBuilder>(par::Ddi&)>;
+  const std::vector<std::pair<const char*, Make>> builders = {
+      {"mpi-only",
+       [&](par::Ddi& ddi) {
+         return std::make_unique<FockBuilderMpi>(fx.eri, fx.screen, ddi);
+       }},
+      {"private-fock",
+       [&](par::Ddi& ddi) {
+         PrivateFockOptions opt;
+         opt.nthreads = 2;
+         return std::make_unique<FockBuilderPrivate>(fx.eri, fx.screen, ddi,
+                                                     opt);
+       }},
+      {"shared-fock",
+       [&](par::Ddi& ddi) {
+         SharedFockOptions opt;
+         opt.nthreads = 2;
+         return std::make_unique<FockBuilderShared>(fx.eri, fx.screen, ddi,
+                                                    opt);
+       }},
+      {"dist-fock",
+       [&](par::Ddi& ddi) {
+         return std::make_unique<FockBuilderDist>(fx.eri, fx.screen, ddi);
+       }},
+  };
+  for (const auto& [what, make] : builders) {
+    EXPECT_THROW(par::run_spmd(2,
+                               [&](par::Comm& comm) {
+                                 par::Ddi ddi(comm);
+                                 auto builder = make(ddi);
+                                 la::Matrix g(fx.bs.nbf(), fx.bs.nbf());
+                                 builder->build(d, g, foreign);
+                               }),
+                 mc::Error)
+        << what;
+  }
 }
 
 // ---- Incremental equivalence across the parallel builders ----

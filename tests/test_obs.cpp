@@ -1,8 +1,9 @@
 // Observability-layer tests (DESIGN.md section 10): trace ring buffers and
 // chrome-trace export, channel accumulators, the per-iteration metrics
 // records, and the counter properties the profiling output relies on --
-// per-thread quartet counters summing to the screening prediction, and
-// rank-aggregated counters invariant under the rank count. The final test
+// per-thread quartet counters summing to the screening prediction,
+// rank-aggregated counters invariant under the rank count, and every
+// builder screening exactly the serial builder's quartets. The final test
 // is the PR's acceptance criterion: a profiled benzene/STO-3G run emits a
 // metrics stream whose per-rank quartet counts sum to the
 // screening-predicted total, plus a chrome-trace JSON.
@@ -13,10 +14,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "chem/builders.hpp"
@@ -257,21 +261,18 @@ struct BuildCounts {
   std::size_t pairs_claimed = 0;
 };
 
-/// Run one distributed build and return the rank-aggregated counters.
+/// Run one distributed build of `d` under `ctx` and return the
+/// rank-aggregated counters.
 template <typename MakeBuilder>
-BuildCounts count_distributed(const FockFixture& fx, int nranks, bool delta,
-                              MakeBuilder&& make) {
+BuildCounts count_build(const FockFixture& fx, int nranks, const la::Matrix& d,
+                        const scf::FockContext& ctx, MakeBuilder&& make) {
   BuildCounts total;
   std::mutex mu;
   par::run_spmd(nranks, [&](par::Comm& comm) {
     par::Ddi ddi(comm);
     auto builder = make(ddi);
     la::Matrix g(fx.bs.nbf(), fx.bs.nbf());
-    if (delta) {
-      builder->build(fx.d_delta, g, fx.delta_ctx);
-    } else {
-      builder->build(fx.d, g);
-    }
+    builder->build(d, g, ctx);
     std::lock_guard<std::mutex> lk(mu);
     total.quartets += builder->last_quartets_computed();
     total.static_screened += builder->last_static_screened();
@@ -282,6 +283,15 @@ BuildCounts count_distributed(const FockFixture& fx, int nranks, bool delta,
     }
   });
   return total;
+}
+
+/// count_build of the fixture's full density (trivial context) or of its
+/// delta density under the delta context.
+template <typename MakeBuilder>
+BuildCounts count_distributed(const FockFixture& fx, int nranks, bool delta,
+                              MakeBuilder&& make) {
+  return delta ? count_build(fx, nranks, fx.d_delta, fx.delta_ctx, make)
+               : count_build(fx, nranks, fx.d, scf::FockContext{}, make);
 }
 
 template <typename MakeBuilder>
@@ -370,6 +380,109 @@ TEST(ObsCounters, SharedFockCountersInvariantUnderRankCount) {
     opt.nthreads = 2;
     return std::make_unique<FockBuilderShared>(fx.eri, fx.screen, ddi, opt);
   });
+}
+
+TEST(ObsCounters, DistThreadSumMatchesScreeningPrediction) {
+  const FockFixture& fx = fixture();
+  const BuildCounts c = count_distributed(fx, 1, false, [&](par::Ddi& ddi) {
+    return std::make_unique<FockBuilderDist>(fx.eri, fx.screen, ddi);
+  });
+  EXPECT_EQ(c.thread_sum, fx.screen.count_surviving_quartets());
+  EXPECT_EQ(c.quartets, fx.screen.count_surviving_quartets());
+}
+
+TEST(ObsCounters, DistCountersInvariantUnderRankCount) {
+  // The DLB counter and the static cyclic split share one claim loop;
+  // neither may change what is counted.
+  const FockFixture& fx = fixture();
+  for (const bool dynamic_lb : {true, false}) {
+    expect_rank_invariant(
+        dynamic_lb ? "dist-fock dlb" : "dist-fock cyclic", [&](par::Ddi& ddi) {
+          DistFockOptions opt;
+          opt.dynamic_lb = dynamic_lb;
+          return std::make_unique<FockBuilderDist>(fx.eri, fx.screen, ddi,
+                                                   opt);
+        });
+  }
+}
+
+TEST(ObsCounters, AllBuildersScreenTheSameQuartets) {
+  // Every builder asks the one QuartetCascade, so each must report the
+  // serial builder's quartets, static kills and density kills, summed over
+  // ranks: for a full build, and for near-convergence deltas (the
+  // fixture's, scaled to ~1e-8 and ~1e-10 under the tight incremental
+  // scale) whose density bound fires -- at ~1e-10 at pair level too.
+  // Benzene is big enough for the static bound to kill quartets as well.
+  static const FockFixture fx(chem::builders::benzene(), "STO-3G");
+  struct Input {
+    std::string what;
+    double scale;  ///< of the fixture delta; 0 = the full density
+    la::Matrix d;
+    scf::FockContext ctx;
+  };
+  std::vector<Input> inputs;
+  inputs.push_back({"full", 0.0, fx.d, scf::FockContext{}});
+  for (const double scale : {1e-8, 1e-10}) {
+    Input in{scale == 1e-8 ? "delta x 1e-8" : "delta x 1e-10", scale,
+             fx.d_delta, {}};
+    in.d *= scale;
+    in.ctx = scf::FockContext::from_density(fx.bs, in.d, /*incremental=*/true);
+    in.ctx.threshold_scale = 0.01;
+    inputs.push_back(std::move(in));
+  }
+
+  using Make = std::function<std::unique_ptr<scf::FockBuilder>(par::Ddi&)>;
+  const std::vector<std::pair<const char*, Make>> builders = {
+      {"mpi-only",
+       [&](par::Ddi& ddi) {
+         return std::make_unique<FockBuilderMpi>(fx.eri, fx.screen, ddi);
+       }},
+      {"private-fock",
+       [&](par::Ddi& ddi) {
+         PrivateFockOptions opt;
+         opt.nthreads = 2;
+         return std::make_unique<FockBuilderPrivate>(fx.eri, fx.screen, ddi,
+                                                     opt);
+       }},
+      {"shared-fock",
+       [&](par::Ddi& ddi) {
+         SharedFockOptions opt;
+         opt.nthreads = 2;
+         return std::make_unique<FockBuilderShared>(fx.eri, fx.screen, ddi,
+                                                    opt);
+       }},
+      {"dist-fock",
+       [&](par::Ddi& ddi) {
+         return std::make_unique<FockBuilderDist>(fx.eri, fx.screen, ddi);
+       }},
+  };
+  for (const Input& in : inputs) {
+    scf::SerialFockBuilder serial(fx.eri, fx.screen);
+    la::Matrix g(fx.bs.nbf(), fx.bs.nbf());
+    serial.build(in.d, g, in.ctx);
+    EXPECT_GT(serial.last_static_screened(), 0u);
+    EXPECT_EQ(serial.last_density_screened() > 0, in.scale > 0.0);
+    if (in.scale == 1e-10) {
+      const scf::QuartetCascade cascade(fx.screen, in.ctx);
+      std::size_t pairs_killed = 0;
+      for (const ints::ScreenedPair& pr : fx.screen.sorted_pairs()) {
+        pairs_killed += cascade.keep_pair(pr.i, pr.j) ? 0 : 1;
+      }
+      EXPECT_GT(pairs_killed, 0u) << "the pair prescreen should fire";
+    }
+    for (const auto& [what, make] : builders) {
+      for (const int nranks : {1, 2}) {
+        const BuildCounts c = count_build(fx, nranks, in.d, in.ctx, make);
+        const std::string where = std::string(what) + " (" + in.what +
+                                  ", " + std::to_string(nranks) + " ranks)";
+        EXPECT_EQ(c.quartets, serial.last_quartets_computed()) << where;
+        EXPECT_EQ(c.static_screened, serial.last_static_screened()) << where;
+        EXPECT_EQ(c.density_screened, serial.last_density_screened())
+            << where;
+        EXPECT_EQ(c.thread_sum, c.quartets) << where;
+      }
+    }
+  }
 }
 
 // --- profile sessions ------------------------------------------------------
