@@ -5,7 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdio>
+#include <cstdlib>
 #include <vector>
 
 #include "basis/basis_set.hpp"
@@ -36,19 +38,46 @@ struct Setup {
   }
 };
 
-// Carbon 6-31G(d) expanded shell order per atom: s6, s3, p3, s1, p1, d1.
-// Representative pair per angular class (Lsum): indices on atoms 0 / 1.
+// Representative shell pair per angular class (Lsum), one shell on each
+// atom. Carbon 6-31G(d) has per atom a 1s shell, two fused sp ("L") shells
+// and a d shell, so the classes are ss, sL, LL, Ld and dd.
 struct PairRep {
   int a, b;
   const char* name;
 };
-constexpr PairRep kReps[5] = {
-    {0, 6, "ss"}, {1, 8, "sp"}, {2, 8, "pp"}, {2, 11, "pd"}, {5, 11, "dd"}};
+
+// First shell of `atom` with angular momentum l and SP flag sp.
+int find_shell(const mc::basis::BasisSet& bs, int atom, int l, bool sp) {
+  for (std::size_t s = 0; s < bs.nshells(); ++s) {
+    const mc::basis::Shell& sh = bs.shell(s);
+    if (sh.atom == atom && sh.l == l && sh.sp == sp) {
+      return static_cast<int>(s);
+    }
+  }
+  std::fprintf(stderr, "no shell (l=%d, sp=%d) on atom %d\n", l,
+               static_cast<int>(sp), atom);
+  std::abort();
+}
+
+const PairRep* reps() {
+  static const std::array<PairRep, 5> r = [] {
+    const mc::basis::BasisSet& bs = Setup::instance().bs;
+    auto rep = [&](int la, bool spa, int lb, bool spb, const char* name) {
+      return PairRep{find_shell(bs, 0, la, spa), find_shell(bs, 1, lb, spb),
+                     name};
+    };
+    return std::array<PairRep, 5>{
+        rep(0, false, 0, false, "ss"), rep(0, false, 1, true, "sL"),
+        rep(1, true, 1, true, "LL"), rep(1, true, 2, false, "Ld"),
+        rep(2, false, 2, false, "dd")};
+  }();
+  return r.data();
+}
 
 void BM_EriQuartet(benchmark::State& state) {
   Setup& s = Setup::instance();
-  const PairRep bra = kReps[state.range(0)];
-  const PairRep ket = kReps[state.range(1)];
+  const PairRep bra = reps()[state.range(0)];
+  const PairRep ket = reps()[state.range(1)];
   std::vector<double> buf(
       s.eri.batch_size(bra.a, bra.b, ket.a, ket.b), 0.0);
   for (auto _ : state) {
@@ -71,8 +100,8 @@ void BM_EriQuartet(benchmark::State& state) {
 // BM_EriQuartet for the same (bra, ket) class.
 void BM_EriQuartetBatched(benchmark::State& state) {
   Setup& s = Setup::instance();
-  const PairRep bra = kReps[state.range(0)];
-  const PairRep ket = kReps[state.range(1)];
+  const PairRep bra = reps()[state.range(0)];
+  const PairRep ket = reps()[state.range(1)];
   mc::ints::QuartetBatch batch(s.eri);
   for (auto _ : state) {
     for (std::size_t q = 0; q < batch.capacity(); ++q) {
@@ -100,7 +129,7 @@ void BM_EriBatchMixedClasses(benchmark::State& state) {
     while (q < batch.capacity()) {
       for (int b = 0; b < 5 && q < batch.capacity(); ++b) {
         for (int k = 0; k < 5 && q < batch.capacity(); ++k, ++q) {
-          batch.add(kReps[b].a, kReps[b].b, kReps[k].a, kReps[k].b);
+          batch.add(reps()[b].a, reps()[b].b, reps()[k].a, reps()[k].b);
         }
       }
     }

@@ -41,33 +41,29 @@ BasisSet BasisSet::build_mixed(
   for (std::size_t a = 0; a < mol.natoms(); ++a) {
     const chem::Atom& atom = mol.atom(a);
     for (const RawShell& raw : element_basis(basis_per_atom[a], atom.z)) {
-      ++bs.n_gamess_;
-      auto push = [&](int l, const std::vector<double>& coefs, bool from_sp) {
-        Shell sh;
-        sh.l = l;
-        sh.center = atom.xyz;
-        sh.exps = raw.exps;
-        sh.coefs = coefs;
-        sh.atom = static_cast<int>(a);
-        sh.from_sp = from_sp;
-        normalize_shell(sh);
-        sh.first_bf = bf;
-        bf += static_cast<std::size_t>(sh.nfunc());
-        bs.shells_.push_back(std::move(sh));
-      };
+      Shell sh;
       switch (raw.type) {
-        case 'S': push(0, raw.coefs, false); break;
-        case 'P': push(1, raw.coefs, false); break;
-        case 'D': push(2, raw.coefs, false); break;
+        case 'S': sh.l = 0; break;
+        case 'P': sh.l = 1; break;
+        case 'D': sh.l = 2; break;
         case 'L':
           MC_CHECK(raw.coefs_p.size() == raw.exps.size(),
                    "fused SP shell missing p coefficients");
-          push(0, raw.coefs, true);
-          push(1, raw.coefs_p, true);
+          sh.l = 1;
+          sh.sp = true;
+          sh.coefs_p = raw.coefs_p;
           break;
         default:
           MC_CHECK(false, std::string("unknown raw shell type: ") + raw.type);
       }
+      sh.center = atom.xyz;
+      sh.exps = raw.exps;
+      sh.coefs = raw.coefs;
+      sh.atom = static_cast<int>(a);
+      normalize_shell(sh);
+      sh.first_bf = bf;
+      bf += static_cast<std::size_t>(sh.nfunc());
+      bs.shells_.push_back(std::move(sh));
     }
   }
   bs.nbf_ = bf;

@@ -1,6 +1,7 @@
 #pragma once
 // Molecule-specific basis: the flat list of contracted shells the integral
-// engine iterates over, with GAMESS-convention bookkeeping for reporting.
+// engine iterates over, one per library shell (GAMESS convention: a fused
+// SP shell is one shell).
 
 #include <cstddef>
 #include <string>
@@ -15,9 +16,9 @@ class BasisSet {
  public:
   BasisSet() = default;
 
-  /// Assign the named basis to every atom of `mol`. Fused SP shells from the
-  /// library are expanded into separate s and p shells sharing exponents;
-  /// the fused count is preserved for GAMESS-style reporting.
+  /// Assign the named basis to every atom of `mol`. Each library shell
+  /// becomes one Shell; a fused SP ("L") shell keeps its four functions
+  /// s, px, py, pz together (Shell::sp).
   static BasisSet build(const chem::Molecule& mol,
                         const std::string& basis_name);
 
@@ -32,12 +33,11 @@ class BasisSet {
 
   [[nodiscard]] const std::vector<Shell>& shells() const { return shells_; }
   [[nodiscard]] const Shell& shell(std::size_t s) const { return shells_[s]; }
+  /// Shell count in GAMESS convention: a fused SP shell counts once
+  /// (Table 4 of the paper counts shells this way).
   [[nodiscard]] std::size_t nshells() const { return shells_.size(); }
   /// Number of basis functions (Cartesian components).
   [[nodiscard]] std::size_t nbf() const { return nbf_; }
-  /// Shell count in GAMESS convention: a fused SP shell counts once
-  /// (Table 4 of the paper counts shells this way).
-  [[nodiscard]] std::size_t nshells_gamess() const { return n_gamess_; }
   [[nodiscard]] const std::string& name() const { return name_; }
 
   /// Largest shell width max_s nfunc(s); sizes the paper's FI/FJ buffers
@@ -52,7 +52,6 @@ class BasisSet {
  private:
   std::vector<Shell> shells_;
   std::size_t nbf_ = 0;
-  std::size_t n_gamess_ = 0;
   std::string name_;
 };
 

@@ -43,10 +43,10 @@ OrientedQuartet orient_quartet(const ShellPairList& pairs, std::size_t si,
   q.bra = kl_outer ? &kl : &ij;
   q.ket = kl_outer ? &ij : &kl;
   q.in_place = !kl_outer && !swap_ij && !swap_kl;
-  q.n[0] = basis::ncart(swap_ij ? ij.l2 : ij.l1);
-  q.n[1] = basis::ncart(swap_ij ? ij.l1 : ij.l2);
-  q.n[2] = basis::ncart(swap_kl ? kl.l2 : kl.l1);
-  q.n[3] = basis::ncart(swap_kl ? kl.l1 : kl.l2);
+  q.n[0] = swap_ij ? ij.n2 : ij.n1;
+  q.n[1] = swap_ij ? ij.n1 : ij.n2;
+  q.n[2] = swap_kl ? kl.n2 : kl.n1;
+  q.n[3] = swap_kl ? kl.n1 : kl.n2;
   // pos[a]: the kernel-output axis caller axis a maps to.
   int pos[4] = {swap_ij ? 1 : 0, swap_ij ? 0 : 1, swap_kl ? 3 : 2,
                 swap_kl ? 2 : 3};

@@ -15,23 +15,20 @@ std::array<la::Matrix, 3> dipole_matrices(
 
   for (std::size_t s1 = 0; s1 < bs.nshells(); ++s1) {
     const basis::Shell& sh1 = bs.shell(s1);
+    const auto c1 = basis::shell_components(sh1);
     for (std::size_t s2 = 0; s2 <= s1; ++s2) {
       const basis::Shell& sh2 = bs.shell(s2);
-      const auto c1 = basis::cartesian_components(sh1.l);
-      const auto c2 = basis::cartesian_components(sh2.l);
+      const auto c2 = basis::shell_components(sh2);
       const double ab[3] = {sh1.center[0] - sh2.center[0],
                             sh1.center[1] - sh2.center[1],
                             sh1.center[2] - sh2.center[2]};
 
-      for (int pa = 0; pa < sh1.nprim(); ++pa) {
-        for (int pb = 0; pb < sh2.nprim(); ++pb) {
-          const double a = sh1.exps[static_cast<std::size_t>(pa)];
-          const double b = sh2.exps[static_cast<std::size_t>(pb)];
-          const double coef = sh1.coefs[static_cast<std::size_t>(pa)] *
-                              sh2.coefs[static_cast<std::size_t>(pb)];
+      for (std::size_t pa = 0; pa < sh1.exps.size(); ++pa) {
+        for (std::size_t pb = 0; pb < sh2.exps.size(); ++pb) {
+          const double a = sh1.exps[pa];
+          const double b = sh2.exps[pb];
           const double p = a + b;
           const double s1d = std::sqrt(kPi / p);
-          const double pref = coef * s1d * s1d * s1d;
           // E tables with bra angular momentum raised by one for the
           // moment component: <x^i_A | x | x^j_B> = S^{i+1,j} + A_x S^{ij}.
           const ETable ex(sh1.l + 1, sh2.l, a, b, ab[0]);
@@ -40,14 +37,15 @@ std::array<la::Matrix, 3> dipole_matrices(
           const ETable* e[3] = {&ex, &ey, &ez};
 
           for (std::size_t f1 = 0; f1 < c1.size(); ++f1) {
-            const auto comp1 = c1[f1];
-            const double n1 = basis::component_norm_ratio(
-                sh1.l, comp1[0], comp1[1], comp1[2]);
-            for (std::size_t f2 = 0; f2 < c2.size(); ++f2) {
-              const auto comp2 = c2[f2];
-              const double n2 = basis::component_norm_ratio(
-                  sh2.l, comp2[0], comp2[1], comp2[2]);
-              const double nn = pref * n1 * n2;
+            const auto& comp1 = c1[f1].ijk;
+            // Each element is written to both triangles below, so a
+            // diagonal shell block visits each function pair once.
+            const std::size_t f2_end = (s1 == s2) ? f1 + 1 : c2.size();
+            for (std::size_t f2 = 0; f2 < f2_end; ++f2) {
+              const auto& comp2 = c2[f2].ijk;
+              const double pref =
+                  (c1[f1].coefs[pa] * c2[f2].coefs[pb]) * s1d * s1d * s1d;
+              const double nn = pref * c1[f1].norm * c2[f2].norm;
               // 1-D overlap factors for all three axes.
               double s1f[3], m1f[3];
               for (int d = 0; d < 3; ++d) {

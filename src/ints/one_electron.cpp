@@ -38,43 +38,36 @@ la::Matrix build_one_electron(const basis::BasisSet& bs, BlockFn&& fn) {
   return m;
 }
 
-struct Pair1e {
-  double coef;  // c1*c2*f1*f2
-  double p;
-  std::array<double, 3> P;
-  ETable ex, ey, ez;  // built with jmax extended for kinetic
-};
-
 }  // namespace
+
+// Each builder walks both shells through basis::shell_components, so a
+// fused SP shell contributes its s and p functions with their own
+// contractions; every component pair's coefficient is c_a c_b of the
+// contractions its two components use.
 
 la::Matrix overlap_matrix(const basis::BasisSet& bs) {
   return build_one_electron(bs, [&](const basis::Shell& sh1,
                                     const basis::Shell& sh2, double* block) {
-    const auto c1 = basis::cartesian_components(sh1.l);
-    const auto c2 = basis::cartesian_components(sh2.l);
+    const auto c1 = basis::shell_components(sh1);
+    const auto c2 = basis::shell_components(sh2);
     const double abx = sh1.center[0] - sh2.center[0];
     const double aby = sh1.center[1] - sh2.center[1];
     const double abz = sh1.center[2] - sh2.center[2];
-    for (int pa = 0; pa < sh1.nprim(); ++pa) {
-      for (int pb = 0; pb < sh2.nprim(); ++pb) {
-        const double a = sh1.exps[static_cast<std::size_t>(pa)];
-        const double b = sh2.exps[static_cast<std::size_t>(pb)];
-        const double coef = sh1.coefs[static_cast<std::size_t>(pa)] *
-                            sh2.coefs[static_cast<std::size_t>(pb)];
+    for (std::size_t pa = 0; pa < sh1.exps.size(); ++pa) {
+      for (std::size_t pb = 0; pb < sh2.exps.size(); ++pb) {
+        const double a = sh1.exps[pa];
+        const double b = sh2.exps[pb];
         const double p = a + b;
-        const double pref = coef * std::pow(kPi / p, 1.5);
+        const double s3d = std::pow(kPi / p, 1.5);
         const ETable ex(sh1.l, sh2.l, a, b, abx);
         const ETable ey(sh1.l, sh2.l, a, b, aby);
         const ETable ez(sh1.l, sh2.l, a, b, abz);
         for (std::size_t f1 = 0; f1 < c1.size(); ++f1) {
-          const auto [ix, iy, iz] = c1[f1];
-          const double n1 =
-              basis::component_norm_ratio(sh1.l, ix, iy, iz);
+          const auto [ix, iy, iz] = c1[f1].ijk;
           for (std::size_t f2 = 0; f2 < c2.size(); ++f2) {
-            const auto [jx, jy, jz] = c2[f2];
-            const double n2 =
-                basis::component_norm_ratio(sh2.l, jx, jy, jz);
-            block[f1 * c2.size() + f2] += pref * n1 * n2 *
+            const auto [jx, jy, jz] = c2[f2].ijk;
+            const double pref = (c1[f1].coefs[pa] * c2[f2].coefs[pb]) * s3d;
+            block[f1 * c2.size() + f2] += pref * c1[f1].norm * c2[f2].norm *
                                           ex(ix, jx, 0) * ey(iy, jy, 0) *
                                           ez(iz, jz, 0);
           }
@@ -87,17 +80,15 @@ la::Matrix overlap_matrix(const basis::BasisSet& bs) {
 la::Matrix kinetic_matrix(const basis::BasisSet& bs) {
   return build_one_electron(bs, [&](const basis::Shell& sh1,
                                     const basis::Shell& sh2, double* block) {
-    const auto c1 = basis::cartesian_components(sh1.l);
-    const auto c2 = basis::cartesian_components(sh2.l);
+    const auto c1 = basis::shell_components(sh1);
+    const auto c2 = basis::shell_components(sh2);
     const double abx = sh1.center[0] - sh2.center[0];
     const double aby = sh1.center[1] - sh2.center[1];
     const double abz = sh1.center[2] - sh2.center[2];
-    for (int pa = 0; pa < sh1.nprim(); ++pa) {
-      for (int pb = 0; pb < sh2.nprim(); ++pb) {
-        const double a = sh1.exps[static_cast<std::size_t>(pa)];
-        const double b = sh2.exps[static_cast<std::size_t>(pb)];
-        const double coef = sh1.coefs[static_cast<std::size_t>(pa)] *
-                            sh2.coefs[static_cast<std::size_t>(pb)];
+    for (std::size_t pa = 0; pa < sh1.exps.size(); ++pa) {
+      for (std::size_t pb = 0; pb < sh2.exps.size(); ++pb) {
+        const double a = sh1.exps[pa];
+        const double b = sh2.exps[pb];
         const double p = a + b;
         const double s1d = std::sqrt(kPi / p);  // 1-D overlap prefactor
         // Kinetic needs E up to j+2 in the ket index.
@@ -118,17 +109,15 @@ la::Matrix kinetic_matrix(const basis::BasisSet& bs) {
         };
 
         for (std::size_t f1 = 0; f1 < c1.size(); ++f1) {
-          const auto [ix, iy, iz] = c1[f1];
-          const double n1 =
-              basis::component_norm_ratio(sh1.l, ix, iy, iz);
+          const auto [ix, iy, iz] = c1[f1].ijk;
           for (std::size_t f2 = 0; f2 < c2.size(); ++f2) {
-            const auto [jx, jy, jz] = c2[f2];
-            const double n2 =
-                basis::component_norm_ratio(sh2.l, jx, jy, jz);
+            const auto [jx, jy, jz] = c2[f2].ijk;
             const double kin = t(ex, ix, jx) * s(ey, iy, jy) * s(ez, iz, jz) +
                                s(ex, ix, jx) * t(ey, iy, jy) * s(ez, iz, jz) +
                                s(ex, ix, jx) * s(ey, iy, jy) * t(ez, iz, jz);
-            block[f1 * c2.size() + f2] += coef * n1 * n2 * kin;
+            block[f1 * c2.size() + f2] +=
+                (c1[f1].coefs[pa] * c2[f2].coefs[pb]) * c1[f1].norm *
+                c2[f2].norm * kin;
           }
         }
       }
@@ -140,19 +129,17 @@ la::Matrix nuclear_attraction_matrix(const basis::BasisSet& bs,
                                      const chem::Molecule& mol) {
   return build_one_electron(bs, [&](const basis::Shell& sh1,
                                     const basis::Shell& sh2, double* block) {
-    const auto c1 = basis::cartesian_components(sh1.l);
-    const auto c2 = basis::cartesian_components(sh2.l);
+    const auto c1 = basis::shell_components(sh1);
+    const auto c2 = basis::shell_components(sh2);
     const int ltot = sh1.l + sh2.l;
     const int hd = ltot + 1;
     const double abx = sh1.center[0] - sh2.center[0];
     const double aby = sh1.center[1] - sh2.center[1];
     const double abz = sh1.center[2] - sh2.center[2];
-    for (int pa = 0; pa < sh1.nprim(); ++pa) {
-      for (int pb = 0; pb < sh2.nprim(); ++pb) {
-        const double a = sh1.exps[static_cast<std::size_t>(pa)];
-        const double b = sh2.exps[static_cast<std::size_t>(pb)];
-        const double coef = sh1.coefs[static_cast<std::size_t>(pa)] *
-                            sh2.coefs[static_cast<std::size_t>(pb)];
+    for (std::size_t pa = 0; pa < sh1.exps.size(); ++pa) {
+      for (std::size_t pb = 0; pb < sh2.exps.size(); ++pb) {
+        const double a = sh1.exps[pa];
+        const double b = sh2.exps[pb];
         const double p = a + b;
         std::array<double, 3> P;
         for (int d = 0; d < 3; ++d) {
@@ -161,20 +148,15 @@ la::Matrix nuclear_attraction_matrix(const basis::BasisSet& bs,
         const ETable ex(sh1.l, sh2.l, a, b, abx);
         const ETable ey(sh1.l, sh2.l, a, b, aby);
         const ETable ez(sh1.l, sh2.l, a, b, abz);
-        const double pref = -coef * 2.0 * kPi / p;
 
         for (const chem::Atom& atom : mol.atoms()) {
           const double pc[3] = {P[0] - atom.xyz[0], P[1] - atom.xyz[1],
                                 P[2] - atom.xyz[2]};
           const RTable r(ltot, p, pc);
           for (std::size_t f1 = 0; f1 < c1.size(); ++f1) {
-            const auto [ix, iy, iz] = c1[f1];
-            const double n1 =
-                basis::component_norm_ratio(sh1.l, ix, iy, iz);
+            const auto [ix, iy, iz] = c1[f1].ijk;
             for (std::size_t f2 = 0; f2 < c2.size(); ++f2) {
-              const auto [jx, jy, jz] = c2[f2];
-              const double n2 =
-                  basis::component_norm_ratio(sh2.l, jx, jy, jz);
+              const auto [jx, jy, jz] = c2[f2].ijk;
               double sum = 0.0;
               for (int t = 0; t <= ix + jx && t < hd; ++t) {
                 const double ext = ex(ix, jx, t);
@@ -187,8 +169,10 @@ la::Matrix nuclear_attraction_matrix(const basis::BasisSet& bs,
                   }
                 }
               }
+              const double pref =
+                  -(c1[f1].coefs[pa] * c2[f2].coefs[pb]) * 2.0 * kPi / p;
               block[f1 * c2.size() + f2] +=
-                  pref * atom.z * n1 * n2 * sum;
+                  pref * atom.z * c1[f1].norm * c2[f2].norm * sum;
             }
           }
         }

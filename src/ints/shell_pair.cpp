@@ -8,28 +8,17 @@
 
 namespace mc::ints {
 
-int ShellPairData::ncomp() const {
-  return basis::ncart(l1) * basis::ncart(l2);
-}
-
 ShellPairData make_shell_pair(const basis::Shell& sh1,
                               const basis::Shell& sh2, double prim_cutoff) {
   ShellPairData sp;
   sp.l1 = sh1.l;
   sp.l2 = sh2.l;
+  sp.n1 = sh1.nfunc();
+  sp.n2 = sh2.nfunc();
   sp.hd = sh1.l + sh2.l + 1;
 
-  const auto comps1 = basis::cartesian_components(sh1.l);
-  const auto comps2 = basis::cartesian_components(sh2.l);
-  std::vector<double> norm1(comps1.size()), norm2(comps2.size());
-  for (std::size_t c = 0; c < comps1.size(); ++c) {
-    norm1[c] = basis::component_norm_ratio(sh1.l, comps1[c][0], comps1[c][1],
-                                           comps1[c][2]);
-  }
-  for (std::size_t c = 0; c < comps2.size(); ++c) {
-    norm2[c] = basis::component_norm_ratio(sh2.l, comps2[c][0], comps2[c][1],
-                                           comps2[c][2]);
-  }
+  const auto comps1 = basis::shell_components(sh1);
+  const auto comps2 = basis::shell_components(sh2);
 
   const double abx = sh1.center[0] - sh2.center[0];
   const double aby = sh1.center[1] - sh2.center[1];
@@ -39,21 +28,25 @@ ShellPairData make_shell_pair(const basis::Shell& sh1,
   const std::size_t herm = sp.herm_size();
   const int hd = sp.hd;
 
-  for (int pa = 0; pa < sh1.nprim(); ++pa) {
-    for (int pb = 0; pb < sh2.nprim(); ++pb) {
-      const double a = sh1.exps[static_cast<std::size_t>(pa)];
-      const double b = sh2.exps[static_cast<std::size_t>(pb)];
-      const double coef = sh1.coefs[static_cast<std::size_t>(pa)] *
-                          sh2.coefs[static_cast<std::size_t>(pb)];
+  for (std::size_t pa = 0; pa < sh1.exps.size(); ++pa) {
+    for (std::size_t pb = 0; pb < sh2.exps.size(); ++pb) {
+      const double a = sh1.exps[pa];
+      const double b = sh2.exps[pb];
+      double cmax = 0.0;
+      for (const basis::ShellComponent& c1 : comps1) {
+        for (const basis::ShellComponent& c2 : comps2) {
+          cmax = std::max(cmax, std::abs(c1.coefs[pa] * c2.coefs[pb]));
+        }
+      }
       const double mu = a * b / (a + b);
       // Gaussian product prefactor bounds every Hermite coefficient.
-      if (std::abs(coef) * std::exp(-mu * ab2) < prim_cutoff) continue;
+      if (cmax * std::exp(-mu * ab2) < prim_cutoff) continue;
 
       PrimPairData pp;
       pp.a = a;
       pp.b = b;
       pp.p = a + b;
-      pp.coef = coef;
+      pp.coef = sh1.coefs[pa] * sh2.coefs[pb];
       for (int d = 0; d < 3; ++d) {
         pp.P[d] = (a * sh1.center[d] + b * sh2.center[d]) / (a + b);
       }
@@ -64,10 +57,11 @@ ShellPairData make_shell_pair(const basis::Shell& sh1,
 
       pp.hermite.assign(static_cast<std::size_t>(sp.ncomp()) * herm, 0.0);
       for (std::size_t c1 = 0; c1 < comps1.size(); ++c1) {
-        const auto [ix, iy, iz] = comps1[c1];
+        const auto [ix, iy, iz] = comps1[c1].ijk;
         for (std::size_t c2 = 0; c2 < comps2.size(); ++c2) {
-          const auto [jx, jy, jz] = comps2[c2];
-          const double cf = coef * norm1[c1] * norm2[c2];
+          const auto [jx, jy, jz] = comps2[c2].ijk;
+          const double cf = (comps1[c1].coefs[pa] * comps2[c2].coefs[pb]) *
+                            comps1[c1].norm * comps2[c2].norm;
           double* h =
               pp.hermite.data() + (c1 * comps2.size() + c2) * herm;
           for (int t = 0; t <= ix + jx; ++t) {

@@ -4,8 +4,13 @@
 // product parameters and the *Hermite product coefficients*
 //   H[(ab component), (t,u,v)] =
 //      c_a c_b f_a f_b E_t^{ax,bx} E_u^{ay,by} E_v^{az,bz}
-// (f = per-component normalization ratios), which is everything the ERI and
-// one-electron drivers need from the bra or ket side.
+// (f = per-component normalization ratios, c = the contraction each
+// component uses), which is everything the ERI kernel needs from the bra
+// or ket side. A pair with a fused SP shell is one pair: its rows cover
+// all n1 x n2 component pairs, its Lsum is the sum of the shells' highest
+// parts, and the rows of lower-l components are zero past their own
+// (t, u, v) range, so the kernel runs it as one class-(l1+l2) quartet
+// side.
 
 #include <array>
 #include <cstddef>
@@ -19,13 +24,16 @@ struct PrimPairData {
   double a = 0.0;                ///< bra exponent
   double b = 0.0;                ///< ket exponent
   double p = 0.0;                ///< a + b
-  double coef = 0.0;             ///< c_a * c_b (normalized contraction coefs)
+  /// c_a * c_b of the shells' `coefs` (normalized). For a pair with a
+  /// fused SP shell that is the s part's product only; the coefficient of
+  /// every component pair is folded into its `hermite` row.
+  double coef = 0.0;
   std::array<double, 3> P{};     ///< Gaussian product center
   /// max |hermite| -- the primitive pair's combined Hermite weight, used by
   /// the ERI kernel's primitive-level prescreen.
   double hmax = 0.0;
   /// Hermite product coefficients, layout [comp][t*hd*hd + u*hd + v] with
-  /// hd = l1 + l2 + 1 and comp = a_comp * ncart(l2) + b_comp.
+  /// hd = l1 + l2 + 1 and comp = a_comp * n2 + b_comp.
   std::vector<double> hermite;
   /// The same coefficients compacted to the t+u+v <= l1+l2 triangle,
   /// layout [comp][p] with p enumerating (t, u, v) lexicographically
@@ -43,11 +51,12 @@ constexpr int hermite_tri_size(int l) {
 
 struct ShellPairData {
   std::size_t s1 = 0, s2 = 0;    ///< shell indices (s1 >= s2 by convention)
-  int l1 = 0, l2 = 0;
+  int l1 = 0, l2 = 0;            ///< highest angular momentum of each shell
+  int n1 = 1, n2 = 1;            ///< functions per shell (Shell::nfunc)
   int hd = 1;                    ///< Hermite dimension per axis: l1+l2+1
   std::vector<PrimPairData> prims;
 
-  [[nodiscard]] int ncomp() const;
+  [[nodiscard]] int ncomp() const { return n1 * n2; }
   [[nodiscard]] std::size_t herm_size() const {
     return static_cast<std::size_t>(hd) * hd * hd;
   }
@@ -58,7 +67,10 @@ struct ShellPairData {
 
 /// Build the pair data for two shells. Primitive pairs whose Gaussian
 /// product prefactor is below `prim_cutoff` are dropped (standard practice;
-/// harmless at 1e-16 relative to unit-normalized shells).
+/// harmless at 1e-16 relative to unit-normalized shells); the prefactor
+/// takes the largest |c_a c_b| over the shells' contractions, so a pair
+/// with a fused SP shell keeps every primitive pair any of its parts would
+/// keep.
 ShellPairData make_shell_pair(const basis::Shell& sh1, const basis::Shell& sh2,
                               double prim_cutoff = 1e-16);
 

@@ -15,8 +15,11 @@ EriCostTable EriCostTable::host_default() {
   // which had no orientation rule: it ran every quartet bra-outer/ket-inner
   // as the caller passed it, so the matrix is asymmetric. The current
   // kernel runs the higher-Lsum pair outer (DESIGN.md section 12.7), which
-  // makes mirrored classes cost about the same; the table is kept as it is
-  // because EXPERIMENTS.md's modelled figures are calibrated on it.
+  // makes mirrored classes cost about the same. The table was also
+  // measured on split SP shells (an s and a p shell per L shell), so the
+  // fused-shell Workload prices each fused quartet at the per-unit cost of
+  // the split class with the same Lsum. It is kept as it is because
+  // EXPERIMENTS.md's modelled figures are calibrated on it.
   // Regenerate with bench_eri_micro if the host or compiler changes.
   EriCostTable t{};
   const double m[kNumPairClasses][kNumPairClasses] = {

@@ -54,7 +54,7 @@ Table table4_dataset_characteristics() {
     chem::Molecule mol = chem::builders::paper_dataset(name);
     auto bs = basis::BasisSet::build(mol, kPaperBasis);
     t.add_row({name, std::to_string(mol.natoms()),
-               std::to_string(bs.nshells_gamess()),
+               std::to_string(bs.nshells()),
                std::to_string(bs.nbf())});
   }
   return t;

@@ -14,13 +14,17 @@ namespace mc::knlsim {
 
 namespace {
 
-// Shell "type": shells are radially identical iff (l, exponent list) match;
-// graphene has exactly one atom type, so the number of types is tiny.
+// Shell "type": shells are radially identical iff (l, sp, exponent list)
+// match -- an SP shell and a p shell with the same exponents differ, since
+// the SP shell also carries an s function. Graphene has exactly one atom
+// type, so the number of types is tiny.
 struct TypeKey {
   int l;
+  bool sp;
   std::vector<double> exps;
   bool operator<(const TypeKey& o) const {
     if (l != o.l) return l < o.l;
+    if (sp != o.sp) return sp < o.sp;
     return exps < o.exps;
   }
 };
@@ -69,7 +73,7 @@ Workload::Workload(const chem::Molecule& mol, const std::string& basis,
   std::vector<std::size_t> type_rep;
   for (std::size_t s = 0; s < nshells_; ++s) {
     const basis::Shell& sh = bs.shell(s);
-    TypeKey key{sh.l, sh.exps};
+    TypeKey key{sh.l, sh.sp, sh.exps};
     auto [it, inserted] = type_ids.emplace(key, static_cast<int>(type_rep.size()));
     if (inserted) type_rep.push_back(s);
     shell_type[s] = it->second;

@@ -1,6 +1,6 @@
 // Tests for the basis-set machinery: shell normalization, the built-in
-// libraries, SP expansion, and the paper's Table 4 shell / basis-function
-// accounting.
+// libraries, fused SP shells, and the paper's Table 4 shell /
+// basis-function accounting.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include "chem/builders.hpp"
 #include "common/constants.hpp"
 #include "common/error.hpp"
+#include "ints/one_electron.hpp"
 
 namespace mc::basis {
 namespace {
@@ -104,14 +105,13 @@ TEST(BasisLibrary, Carbon631GdHasPolarization) {
 
 TEST(BasisSet, WaterSto3gCounts) {
   auto bs = BasisSet::build(chem::builders::water(), "STO-3G");
-  // O: s + (s,p from L); H: s each => 5 + 2*1... shells after SP expansion:
-  // O: 1s, 2s, 2p -> 3; H: 1 each -> total 5 expanded shells.
-  EXPECT_EQ(bs.nshells(), 5u);
-  // GAMESS convention: O has 2 shells (S, L), H one each -> 4.
-  EXPECT_EQ(bs.nshells_gamess(), 4u);
-  EXPECT_EQ(bs.nbf(), 7u);  // O: 1+1+3, H: 1+1
+  // GAMESS convention: O has 2 shells (1s and the fused 2sp L shell), H one
+  // each -> 4.
+  EXPECT_EQ(bs.nshells(), 4u);
+  EXPECT_EQ(bs.nbf(), 7u);  // O: 1+4, H: 1+1
   EXPECT_EQ(bs.max_l(), 1);
-  EXPECT_EQ(bs.max_shell_size(), 3);
+  // The widest shell is the fused L shell: s, px, py, pz.
+  EXPECT_EQ(bs.max_shell_size(), 4);
 }
 
 TEST(BasisSet, CarbonPerAtomCountsMatchPaper) {
@@ -120,7 +120,7 @@ TEST(BasisSet, CarbonPerAtomCountsMatchPaper) {
   chem::Molecule c1;
   c1.add_atom(6, 0.0, 0.0, 0.0);
   auto bs = BasisSet::build(c1, "6-31G(d)");
-  EXPECT_EQ(bs.nshells_gamess(), 4u);
+  EXPECT_EQ(bs.nshells(), 4u);
   EXPECT_EQ(bs.nbf(), 15u);
   EXPECT_EQ(bs.max_l(), 2);
 }
@@ -129,7 +129,7 @@ TEST(BasisSet, PaperDatasetTable4) {
   // 0.5 nm dataset: 44 atoms, 176 GAMESS shells, 660 basis functions.
   auto mol = chem::builders::paper_dataset("0.5nm");
   auto bs = BasisSet::build(mol, "6-31G(d)");
-  EXPECT_EQ(bs.nshells_gamess(), 176u);
+  EXPECT_EQ(bs.nshells(), 176u);
   EXPECT_EQ(bs.nbf(), 660u);
 }
 
@@ -154,18 +154,27 @@ TEST(BasisSet, ShellOfBfInverse) {
   EXPECT_THROW((void)bs.shell_of_bf(bs.nbf()), mc::Error);
 }
 
-TEST(BasisSet, SpExpansionSharesExponents) {
+TEST(BasisSet, SpShellIsFused) {
   chem::Molecule c1;
   c1.add_atom(6, 0.0, 0.0, 0.0);
   auto bs = BasisSet::build(c1, "STO-3G");
-  // Shells: S(core), S(from L), P(from L).
-  ASSERT_EQ(bs.nshells(), 3u);
-  EXPECT_FALSE(bs.shell(0).from_sp);
-  EXPECT_TRUE(bs.shell(1).from_sp);
-  EXPECT_TRUE(bs.shell(2).from_sp);
-  EXPECT_EQ(bs.shell(1).l, 0);
-  EXPECT_EQ(bs.shell(2).l, 1);
-  EXPECT_EQ(bs.shell(1).exps, bs.shell(2).exps);
+  // Shells: S(core), L -- one shell with four functions s, px, py, pz over
+  // one exponent list, with an s and a p contraction.
+  ASSERT_EQ(bs.nshells(), 2u);
+  EXPECT_FALSE(bs.shell(0).sp);
+  const Shell& sp = bs.shell(1);
+  EXPECT_TRUE(sp.sp);
+  EXPECT_EQ(sp.l, 1);
+  EXPECT_EQ(sp.nfunc(), 4);
+  EXPECT_EQ(sp.exps.size(), 3u);
+  EXPECT_EQ(sp.coefs.size(), 3u);
+  EXPECT_EQ(sp.coefs_p.size(), 3u);
+  // Each contraction is normalized on its own: all four functions have
+  // unit self-overlap.
+  const la::Matrix s = ints::overlap_matrix(bs);
+  for (std::size_t f = 0; f < 4; ++f) {
+    EXPECT_NEAR(s(sp.first_bf + f, sp.first_bf + f), 1.0, 1e-12) << f;
+  }
 }
 
 }  // namespace

@@ -74,13 +74,14 @@ TEST(BuildMixed, UniformAssignmentIsIdenticalToBuild) {
   ASSERT_EQ(plain.nshells(), mixed.nshells());
   ASSERT_EQ(plain.nbf(), mixed.nbf());
   ASSERT_EQ(plain.name(), mixed.name());
-  ASSERT_EQ(plain.nshells_gamess(), mixed.nshells_gamess());
   for (std::size_t s = 0; s < plain.nshells(); ++s) {
     EXPECT_EQ(plain.shell(s).l, mixed.shell(s).l);
+    EXPECT_EQ(plain.shell(s).sp, mixed.shell(s).sp);
     EXPECT_EQ(plain.shell(s).first_bf, mixed.shell(s).first_bf);
     EXPECT_EQ(plain.shell(s).atom, mixed.shell(s).atom);
     ASSERT_EQ(plain.shell(s).exps, mixed.shell(s).exps);
     ASSERT_EQ(plain.shell(s).coefs, mixed.shell(s).coefs);
+    ASSERT_EQ(plain.shell(s).coefs_p, mixed.shell(s).coefs_p);
   }
 }
 

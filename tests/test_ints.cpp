@@ -825,10 +825,118 @@ TEST(Eri, MirroredQuartetsAreBitwiseTransposes) {
   }
   check_batch();
 
-  EXPECT_EQ(quartets, 3003u);
+  // C2/6-31G(d) has 8 shells (per carbon: s, sp, sp, d), so 36 shell
+  // pairs and 36 * 35 / 2 = 630 quartets with two distinct pairs. The
+  // pair Lsum still spans 0 (s s) to 4 (d d), so all 25 classes occur.
+  EXPECT_EQ(quartets, 630u);
   EXPECT_EQ(classes.size(), 25u);
   EXPECT_EQ(scalar_bad, 0u);
   EXPECT_EQ(batched_bad, 0u);
+}
+
+TEST(Eri, FusedSpBlocksMatchSplitShells) {
+  // Oracle for fused SP shells: split every fused shell by hand into an s
+  // shell (its `coefs`) and a p shell (its `coefs_p`) with the same
+  // exponents -- plain shells, each already normalized -- and require every
+  // fused quartet's batch to match each split sub-quartet, block by block.
+  // The fused and split evaluations differ only in Boys top order (the
+  // fused quartet's s-part elements come from a higher-order downward
+  // recursion) and in which primitive pairs clear the pair cutoff, so the
+  // agreement is to rounding, not bitwise.
+  chem::Molecule c2h;
+  c2h.add_atom(6, 0.0, 0.0, 0.0);
+  c2h.add_atom(6, 0.0, 0.0, 2.27);
+  c2h.add_atom(1, 0.4, -0.3, -2.0);
+  const std::pair<chem::Molecule, const char*> cases[] = {
+      {c2h, "6-31G(d)"}, {chem::builders::alkane(2), "STO-3G"}};
+  for (const auto& [mol, basis_name] : cases) {
+    auto bs = basis::BasisSet::build(mol, basis_name);
+    const ShellPairList fused(bs);
+    const std::size_t ns = bs.nshells();
+
+    // parts[s]: the split shells of fused shell s, each with its first
+    // function's offset inside s.
+    struct Part {
+      basis::Shell sh;
+      int offset = 0;
+    };
+    std::vector<std::vector<Part>> parts(ns);
+    std::size_t nsp = 0;
+    for (std::size_t s = 0; s < ns; ++s) {
+      const basis::Shell& sh = bs.shell(s);
+      if (!sh.sp) {
+        parts[s].push_back({sh, 0});
+        continue;
+      }
+      ++nsp;
+      basis::Shell s_part = sh;
+      s_part.sp = false;
+      s_part.l = 0;
+      s_part.coefs_p.clear();
+      basis::Shell p_part = s_part;
+      p_part.l = 1;
+      p_part.coefs = sh.coefs_p;
+      parts[s].push_back({s_part, 0});
+      parts[s].push_back({p_part, 1});
+    }
+    ASSERT_GT(nsp, 0u) << basis_name;
+
+    std::vector<double> out, sub;
+    double max_diff = 0.0;
+    std::size_t quartets = 0, blocks = 0;
+    for (std::size_t i = 0; i < ns; ++i) {
+      for (std::size_t j = 0; j <= i; ++j) {
+        const ShellPairData& bra = fused.pair(i, j);
+        for (std::size_t k = 0; k <= i; ++k) {
+          for (std::size_t l = 0; l <= ((k == i) ? j : k); ++l) {
+            const ShellPairData& ket = fused.pair(k, l);
+            out.assign(static_cast<std::size_t>(bra.ncomp()) *
+                           static_cast<std::size_t>(ket.ncomp()),
+                       0.0);
+            compute_eri_canonical(bra, ket, out.data());
+            ++quartets;
+            const int n[4] = {bra.n1, bra.n2, ket.n1, ket.n2};
+            for (const Part& pi : parts[i]) {
+              for (const Part& pj : parts[j]) {
+                const ShellPairData sbra = make_shell_pair(pi.sh, pj.sh);
+                for (const Part& pk : parts[k]) {
+                  for (const Part& pl : parts[l]) {
+                    const ShellPairData sket = make_shell_pair(pk.sh, pl.sh);
+                    sub.assign(static_cast<std::size_t>(sbra.ncomp()) *
+                                   static_cast<std::size_t>(sket.ncomp()),
+                               0.0);
+                    compute_eri_canonical(sbra, sket, sub.data());
+                    ++blocks;
+                    const int m[4] = {sbra.n1, sbra.n2, sket.n1, sket.n2};
+                    std::size_t x = 0;
+                    for (int a = 0; a < m[0]; ++a)
+                      for (int b = 0; b < m[1]; ++b)
+                        for (int c = 0; c < m[2]; ++c)
+                          for (int d = 0; d < m[3]; ++d, ++x) {
+                            const std::size_t y =
+                                ((static_cast<std::size_t>(pi.offset + a) *
+                                      static_cast<std::size_t>(n[1]) +
+                                  static_cast<std::size_t>(pj.offset + b)) *
+                                     static_cast<std::size_t>(n[2]) +
+                                 static_cast<std::size_t>(pk.offset + c)) *
+                                    static_cast<std::size_t>(n[3]) +
+                                static_cast<std::size_t>(pl.offset + d);
+                            max_diff =
+                                std::max(max_diff, std::abs(out[y] - sub[x]));
+                          }
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+    EXPECT_LE(max_diff, 1e-14) << basis_name << ": " << quartets
+                               << " fused quartets, " << blocks
+                               << " split blocks";
+    EXPECT_GT(blocks, quartets) << basis_name;
+  }
 }
 
 TEST(EriBatch, ClassCountersKeyedByCallerClass) {
@@ -892,8 +1000,10 @@ TEST(EriBatch, ClassCountersKeyedByCallerClass) {
   const obs::EriClassStats totals = obs::eri_class_totals();
   obs::set_metrics_enabled(prev);
 
+  // The only pure s shells are the two 1s cores (the fused sp shells have
+  // l = 1) and there are two d shells: 3 ss pairs x 3 dd pairs.
   const std::uint64_t n = ss.size() * dd.size();
-  EXPECT_EQ(n, 63u);
+  EXPECT_EQ(n, 9u);
   EXPECT_EQ(ssdd.quartets, n);
   EXPECT_EQ(ddss.quartets, n);
   EXPECT_EQ(ssdd.boys_elements, ssdd_boys);

@@ -24,7 +24,7 @@ namespace {
 using core::ScfAlgorithm;
 
 const Workload& small_workload() {
-  // 0.5 nm paper dataset: 264 expanded shells -- fast enough to build once.
+  // 0.5 nm paper dataset: 176 shells -- fast enough to build once.
   static Workload wl(chem::builders::paper_dataset("0.5nm"), "6-31G(d)",
                      EriCostTable::host_default());
   return wl;

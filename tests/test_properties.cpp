@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
 #include "basis/basis_set.hpp"
@@ -109,6 +110,33 @@ TEST(Dipole, InvariantUnderTranslationForNeutralMolecule) {
   DipoleMoment a = dipole_moment(mol, bs, r.density);
   DipoleMoment b = dipole_moment(mol2, bs2, r2.density);
   EXPECT_NEAR(a.magnitude_au(), b.magnitude_au(), 1e-8);
+}
+
+TEST(Dipole, SameShellElementsCountedOnce) {
+  // For functions on one center A, <a| x |b> = A_x <a|b> + <a| x - A_x |b>,
+  // and the second term is the moment matrix of the same atom placed at
+  // the origin. A carbon away from the origin therefore has
+  // M_k = A_k S + M_k(atom at origin) elementwise -- including the s-p
+  // elements inside a fused SP shell and the (xx, yy)-type pairs inside a
+  // d shell, which a diagonal shell block must not count twice.
+  const std::array<double, 3> a = {2.0, -1.0, 0.5};
+  chem::Molecule at_a, at_origin;
+  at_a.add_atom(6, a[0], a[1], a[2]);
+  at_origin.add_atom(6, 0.0, 0.0, 0.0);
+  for (const char* basis : {"STO-3G", "6-31G(d)"}) {
+    auto bs_a = basis::BasisSet::build(at_a, basis);
+    auto bs_0 = basis::BasisSet::build(at_origin, basis);
+    const la::Matrix s = ints::overlap_matrix(bs_a);
+    const auto m_a = ints::dipole_matrices(bs_a);
+    const auto m_0 = ints::dipole_matrices(bs_0);
+    for (std::size_t k = 0; k < 3; ++k) {
+      la::Matrix expect = s;
+      expect *= a[k];
+      expect += m_0[k];
+      EXPECT_LE(expect.max_abs_diff(m_a[k]), 1e-12)
+          << basis << " axis " << k;
+    }
+  }
 }
 
 // ---- Mulliken ----
