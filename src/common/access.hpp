@@ -19,8 +19,9 @@
 //                         exclusivity is the protocol's claim. Writes go
 //                         through add()/set(), never raw references.
 //   TeamBuffer<T>      -- the whole FI/FJ lane array; hands out
-//                         ThreadPrivate lanes and read-only peer access for
-//                         the flush reduction.
+//                         ThreadPrivate lanes, and peer access for the
+//                         flush: read-only, or read-and-zero (take) by the
+//                         thread that owns the column in the flush epoch.
 //
 // All types carry a `bool Checked` parameter defaulting to the translation
 // unit's MC_ACCESS_CHECK macro. Unchecked instantiations are plain
@@ -35,7 +36,6 @@
 // through these types (or another sanctioned construct) are MC-OMP-002
 // findings.
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdlib>
 #include <memory>
@@ -307,23 +307,6 @@ class ThreadPrivate {
       if (hook_.th != nullptr) hook_.th->on_write(hook_.region, hook_.base + i);
     }
   }
-  /// Owner re-zero of [0, len) (the post-flush reset, Figure 1B).
-  void zero(std::size_t len) const {
-    std::fill(p_, p_ + len, T{});
-    if constexpr (Checked) {
-      if (hook_.th != nullptr) {
-        for (std::size_t i = 0; i < len; ++i) {
-          hook_.th->on_write(hook_.region, hook_.base + i);
-        }
-      }
-    }
-  }
-  [[nodiscard]] T read(std::size_t i) const {
-    if constexpr (Checked) {
-      if (hook_.th != nullptr) hook_.th->on_read(hook_.region, hook_.base + i);
-    }
-    return p_[i];
-  }
   [[nodiscard]] std::size_t size() const { return n_; }
 
  private:
@@ -340,8 +323,8 @@ class ThreadPrivate {
 
 /// The whole lane array of a team buffer (nlanes x stride elements).
 /// Construct one per thread inside the region (it is a cheap view); the
-/// thread mutates its own lane via lane(tid) and reads peers via read()
-/// during the flush reduction.
+/// thread mutates its own lane via lane(tid) and reaches peers via read()
+/// or take() during the flush reduction.
 template <typename T, bool Checked = kAccessChecked>
 class TeamBuffer {
  public:
@@ -374,9 +357,20 @@ class TeamBuffer {
     }
     return base_[idx];
   }
+  /// Cross-lane read-and-zero (the column-owner flush): returns element i
+  /// of `lane` and leaves T{} behind, reported as a write -- so the lane's
+  /// owner may write it again only after the next barrier.
+  [[nodiscard]] T take(int lane, std::size_t i) const {
+    const std::size_t idx = static_cast<std::size_t>(lane) * stride_ + i;
+    if constexpr (Checked) {
+      if (hook_.th != nullptr) hook_.th->on_write(hook_.region, idx);
+    }
+    const T v = base_[idx];
+    base_[idx] = T{};
+    return v;
+  }
 
   [[nodiscard]] int lanes() const { return nlanes_; }
-  [[nodiscard]] std::size_t stride() const { return stride_; }
 
  private:
   T* base_ = nullptr;

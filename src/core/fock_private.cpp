@@ -9,6 +9,7 @@
 #include "common/memory_tracker.hpp"
 #include "common/tsan_annotations.hpp"
 #include "ints/eri_batch.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace mc::core {
@@ -30,6 +31,7 @@ void FockBuilderPrivate::build(const la::Matrix& density, la::Matrix& g,
   ddi_->dlb_reset();
 
   const int nt = opt_.nthreads;
+  const int rank = ddi_->rank();
   std::vector<scf::BuildStats> thread_stats(static_cast<std::size_t>(nt));
   std::vector<la::Matrix*> thread_g(static_cast<std::size_t>(nt), nullptr);
   long shared_i = 0;
@@ -38,7 +40,7 @@ void FockBuilderPrivate::build(const la::Matrix& density, la::Matrix& g,
   // Algorithm 2 touches far less shared state than Algorithm 3: the rank
   // Fock matrix (written only in the row-chunked reduction), the matrix
   // pointer slots, and the per-thread counter slots.
-  acc::BuildChecker<> checker(ddi_->rank(), nt);
+  acc::BuildChecker<> checker(rank, nt);
   const int reg_g = checker.region("G", g.size());
   const int reg_slots = checker.region("thread_g", thread_g.size());
   const int reg_ts = checker.region("thread_stats", thread_stats.size());
@@ -59,8 +61,15 @@ void FockBuilderPrivate::build(const la::Matrix& density, la::Matrix& g,
     const int tid = omp_get_thread_num();
     // OpenMP workers do not inherit the rank thread's memory attribution;
     // scope it so thread-private buffers are charged to this rank.
-    RankScope rank_scope(ddi_->rank());
+    RankScope rank_scope(rank);
     acc::ThreadCtx<> th(checker, tid);
+    // The master is the rank thread: it alone charges its team-barrier
+    // waits to the rank's barrier channel.
+    const auto team_barrier = [&]() {
+      const obs::ScopedChannelTimer wait(obs::Channel::kBarrier, rank,
+                                         tid == 0);
+      MC_PROTOCOL_BARRIER(&shared_i, th);
+    };
     // The thread-private replicated Fock matrix: the memory cost that
     // distinguishes Algorithm 2 (eq. 3b) from Algorithm 3 (eq. 3c).
     la::Matrix gp(nbf, nbf, "fock_thread_private");
@@ -81,7 +90,7 @@ void FockBuilderPrivate::build(const la::Matrix& density, la::Matrix& g,
     for (;;) {
 #pragma omp master
       shared_i = ddi_->dlbnext();  // MPI DLB: get new I task
-      MC_PROTOCOL_BARRIER(&shared_i, th);
+      team_barrier();
       const long claimed = shared_i;
       if (claimed >= static_cast<long>(bra_order.size())) break;
       const long i =
@@ -116,7 +125,7 @@ void FockBuilderPrivate::build(const la::Matrix& density, la::Matrix& g,
       }
       // Keeps the team in lockstep with the master: iteration N's reads of
       // shared_i must be ordered before the master's iteration-N+1 rewrite.
-      MC_PROTOCOL_BARRIER(&shared_i, th);
+      team_barrier();
     }
     // Drain quartets queued by the final i tasks before gp is reduced.
     scf::scatter_batch(bs, batch, den.get(), gp);
@@ -131,7 +140,7 @@ void FockBuilderPrivate::build(const la::Matrix& density, la::Matrix& g,
 
     // Reduce the thread-private copies into the rank matrix, row-chunked so
     // threads write disjoint cache lines.
-    MC_PROTOCOL_BARRIER(&shared_i, th);
+    team_barrier();
     const acc::OwnedSlice<double> g_acc(g.data(), g.size(), &th, reg_g, 0);
 #pragma omp for schedule(static) nowait
     for (long row = 0; row < static_cast<long>(nbf); ++row) {
@@ -145,7 +154,7 @@ void FockBuilderPrivate::build(const la::Matrix& density, la::Matrix& g,
       }
     }
     // Nobody frees gp before the reduction completes.
-    MC_PROTOCOL_BARRIER(&shared_i, th);
+    team_barrier();
     MC_TSAN_RELEASE(&shared_i);
   }
   MC_TSAN_ACQUIRE(&shared_i);

@@ -2,7 +2,6 @@
 
 #include <omp.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -11,49 +10,32 @@
 #include "common/error.hpp"
 #include "common/memory_tracker.hpp"
 #include "common/tsan_annotations.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace mc::core {
 
 namespace {
 
-/// Chunked parallel reduction of one buffer (all thread columns) into the
-/// shell-s stripe of the shared Fock matrix, then per-thread re-zeroing.
-/// Must be called by every thread of the team (contains worksharing
-/// constructs). This is the tree-reduction flush of the paper's Figure 1B;
-/// the "column" of the paper's Fortran storage is the row stripe
-/// g(off+a, :) in our row-major matrices, which also keeps the raw
-/// skeleton bit-comparable with the serial reference scatter.
-///
-/// Access protocol (annotated via the types, verified under MC_CHECK):
-/// cross-thread reads of the lanes via TeamBuffer::read, exclusive column
-/// writes into the shared matrix via OwnedSlice::add, a barrier, then the
-/// owner's lane re-zero -- all reads done before anyone re-zeroes.
-void flush_buffer(const acc::TeamBuffer<double>& buf,
-                  const acc::ThreadPrivate<double>& mine, int nt,
-                  const basis::Shell& sh, std::size_t nbf,
-                  const acc::OwnedSlice<double>& f_acc,
-                  acc::ThreadCtx<>& th, const volatile void* tag) {
-  const int nf = sh.nfunc();
-  const std::size_t off = sh.first_bf;
-#pragma omp for schedule(static) nowait
-  for (long col = 0; col < static_cast<long>(nbf); ++col) {
-    const auto c = static_cast<std::size_t>(col);
-    for (int a = 0; a < nf; ++a) {
-      double sum = 0.0;
-      for (int t = 0; t < nt; ++t) {
-        sum += buf.read(t, static_cast<std::size_t>(a) * nbf + c);
-      }
-      f_acc.add((off + static_cast<std::size_t>(a)) * nbf + c, sum);
-    }
+/// QuartetBatch capacity of each thread in a team (nthreads > 1): a thread
+/// evaluates the quartets of the kl values it claimed before it claims
+/// many more, so schedule(dynamic,1) balances ERI work, not kl claims. A
+/// lone thread keeps ints::kDefaultBatchCapacity (DESIGN.md 8.1).
+constexpr std::size_t kTeamBatchCapacity = 2;
+
+/// Column-owner flush of one shell stripe of a team buffer (the reduction
+/// of the paper's Figure 1B): the owner of column c sums every lane's
+/// element c of each shell row into F and zeroes it (TeamBuffer::take).
+/// The paper's Fortran "column" is the row stripe g(off+a, :) here.
+void flush_column(const acc::TeamBuffer<double>& buf, const basis::Shell& sh,
+                  std::size_t nbf, std::size_t c,
+                  const acc::OwnedSlice<double>& f_acc) {
+  for (int a = 0; a < sh.nfunc(); ++a) {
+    const auto row = static_cast<std::size_t>(a);
+    double sum = 0.0;
+    for (int t = 0; t < buf.lanes(); ++t) sum += buf.take(t, row * nbf + c);
+    f_acc.add((sh.first_bf + row) * nbf + c, sum);
   }
-  // All reads done before anyone re-zeroes. Annotated (rather than the
-  // worksharing construct's implicit barrier) so TSan sees the ordering
-  // between cross-thread buffer reads and the owner's re-zeroing writes;
-  // the same barrier advances the shadow ledger's epoch.
-  MC_PROTOCOL_BARRIER(tag, th);
-  mine.zero(static_cast<std::size_t>(nf) * nbf);
-  MC_PROTOCOL_BARRIER(tag, th);
 }
 
 /// One shell row of a thread's FI or FJ lane: lane row a holds the
@@ -102,7 +84,7 @@ void FockBuilderShared::build(const la::Matrix& density, la::Matrix& g,
   // lazy FI flush still fires at most once per i group) with the heaviest
   // groups first.
   const auto& bra_pairs = screen_->bra_grouped_pairs();
-  const std::size_t nlist = bra_pairs.size();
+  const long nlist = static_cast<long>(bra_pairs.size());
   MC_CHECK(g.rows() == nbf && g.cols() == nbf, "G shape mismatch");
   MC_CHECK(opt_.nthreads >= 1, "need at least one thread");
 
@@ -110,6 +92,7 @@ void FockBuilderShared::build(const la::Matrix& density, la::Matrix& g,
   fi_flushes_ = 0;
 
   const int nt = opt_.nthreads;
+  const int rank = ddi_->rank();
   std::vector<scf::BuildStats> thread_stats(static_cast<std::size_t>(nt));
   // mxsize = ubound(Fock) * shellSize (+ padding against false sharing);
   // one column per thread (Algorithm 3 lines 1-3).
@@ -123,7 +106,7 @@ void FockBuilderShared::build(const la::Matrix& density, la::Matrix& g,
   // the shared Fock matrix, both team buffers, and the per-thread counter
   // slots are registered as checked regions. In normal builds BuildChecker
   // is an empty type and every hook below compiles to nothing.
-  acc::BuildChecker<> checker(ddi_->rank(), nt);
+  acc::BuildChecker<> checker(rank, nt);
   const int reg_f = checker.region("F", g.size());
   const int reg_fi = checker.region("FI", fi.size());
   const int reg_fj = checker.region("FJ", fj.size());
@@ -133,19 +116,24 @@ void FockBuilderShared::build(const la::Matrix& density, la::Matrix& g,
   // type has no mutating accessor, so a misrouted update cannot compile.
   const acc::SharedReadOnly<const la::Matrix&> den(density);
 
-  // Per-iteration decisions are taken once, by the master thread, and
-  // published through these shared slots. Threads snapshot them between
-  // two barriers, so the whole team always agrees on which worksharing
-  // constructs the iteration executes. (Evaluating "did i change?" per
-  // thread against a mutable iold is a divergence race: a fast thread can
-  // update the state before a slow one reads it, deadlocking the team.)
-  struct IterPlan {
-    long ij = 0;
-    bool skip = false;          // pair prescreened out
-    long flush_shell = -1;      // FI flush target shell, or -1
+  // The master's claim: the next list position whose pair passes the ij
+  // prescreen of Algorithm 3 line 13, or one past the list. A prescreened
+  // pair costs the team no barrier.
+  const auto claim = [&]() {
+    long pos = ddi_->dlbnext();  // MPI DLB: get new list position
+    for (; pos < nlist; pos = ddi_->dlbnext()) {
+      ++stats_.pairs_claimed;
+      const ints::ScreenedPair& pr = bra_pairs[static_cast<std::size_t>(pos)];
+      if (cascade.keep_pair(pr.i, pr.j)) break;
+    }
+    return pos;
   };
-  IterPlan plan;
-  long iold = -1;  // previous i index; owned by the master thread
+  // Claim-ahead plan slots: the master claims into slot[cur ^ 1] while the
+  // team works on slot[cur]; a slot is rewritten two barriers after its
+  // last read, so the team always agrees on which worksharing constructs
+  // run (a per-thread decision against mutable master state could diverge
+  // and deadlock the team).
+  long slot[2] = {0, 0};
 
   omp_set_schedule(opt_.dynamic_schedule ? omp_sched_dynamic
                                          : omp_sched_static,
@@ -154,19 +142,26 @@ void FockBuilderShared::build(const la::Matrix& density, la::Matrix& g,
   // Team fork/join edges: libgomp hands threads off through futexes TSan
   // cannot see, so publish the pre-region state (density, buffers, plan)
   // to the workers and the workers' final writes back to the master.
-  MC_TSAN_RELEASE(&plan);
+  MC_TSAN_RELEASE(slot);
 #pragma omp parallel num_threads(nt) default(shared)
   {
-    MC_TSAN_ACQUIRE(&plan);
+    MC_TSAN_ACQUIRE(slot);
     const int tid = omp_get_thread_num();
     // OpenMP workers do not inherit the rank thread's attribution; scope it
     // so trace events and tracked buffers land on this rank's lane.
-    RankScope rank_scope(ddi_->rank());
+    RankScope rank_scope(rank);
+    acc::ThreadCtx<> th(checker, tid);
+    // The master is the rank thread: it alone charges its team-barrier
+    // waits to the rank's barrier channel.
+    const auto team_barrier = [&]() {
+      const obs::ScopedChannelTimer wait(obs::Channel::kBarrier, rank,
+                                         tid == 0);
+      MC_PROTOCOL_BARRIER(slot, th);
+    };
     // Per-thread protocol views: the thread's own FI/FJ lanes (mutable
     // only through these handles), the whole-lane-array views for the
-    // flush reduction, and the shared-Fock window for the direct F_kl
+    // column-owner flush, and the shared-Fock window for the direct F_kl
     // updates whose exclusivity the kl loop guarantees.
-    acc::ThreadCtx<> th(checker, tid);
     const acc::TeamBuffer<double> fi_buf(fi.data(), nt, col_stride, &th,
                                          reg_fi);
     const acc::TeamBuffer<double> fj_buf(fj.data(), nt, col_stride, &th,
@@ -182,7 +177,8 @@ void FockBuilderShared::build(const la::Matrix& density, la::Matrix& g,
     // thread's exclusive ownership of its claimed kl values, which only
     // holds inside that epoch.
     const SharedRoute route{fi_lane, fj_lane, f_acc, den.get(), nbf};
-    ints::QuartetBatch qbatch(*eri_);
+    ints::QuartetBatch qbatch(
+        *eri_, nt > 1 ? kTeamBatchCapacity : ints::kDefaultBatchCapacity);
     auto digest_batch = [&]() {
       qbatch.evaluate();
       for (std::size_t qi = 0; qi < qbatch.size(); ++qi) {
@@ -195,55 +191,25 @@ void FockBuilderShared::build(const la::Matrix& density, la::Matrix& g,
     };
     scf::BuildStats mine;
 
-    for (;;) {
 #pragma omp master
-      {
-        plan.ij = ddi_->dlbnext();  // MPI DLB: get new list position
-        plan.skip = false;
-        plan.flush_shell = -1;
-        if (plan.ij < static_cast<long>(nlist)) {
-          ++stats_.pairs_claimed;
-          const ints::ScreenedPair& pr =
-              bra_pairs[static_cast<std::size_t>(plan.ij)];
-          // The ij prescreen of Algorithm 3 line 13 (its static half is
-          // already baked into the list).
-          plan.skip = !cascade.keep_pair(pr.i, pr.j);
-          if (!plan.skip) {
-            // Lazy FI flush: only when the i index changed since the last
-            // unscreened pair (Algorithm 3 lines 15-18).
-            if (static_cast<long>(pr.i) != iold || !opt_.lazy_fi_flush) {
-              plan.flush_shell = iold;
-              if (plan.flush_shell >= 0) ++fi_flushes_;
-            }
-            iold = static_cast<long>(pr.i);
-          }
-        }
-      }
-      MC_PROTOCOL_BARRIER(&plan, th);
-      const IterPlan my_plan = plan;
-      // All snapshots taken before the master's next rewrite.
-      MC_PROTOCOL_BARRIER(&plan, th);
-      if (my_plan.ij >= static_cast<long>(nlist)) break;
-      if (my_plan.skip) continue;
-      th.set_task(my_plan.ij);
+    slot[0] = claim();
+    for (int cur = 0;; cur ^= 1) {
+      // Start barrier: publishes the first claim, and orders the previous
+      // flush's F writes and lane zeroing before this kl loop.
+      team_barrier();
+      const long pos = slot[cur];
+      if (pos >= nlist) break;
 
       // One span per claimed ij pair per thread: the per-thread lanes of
       // the chrome trace make the kl-loop load split visible directly.
       MC_OBS_TRACE("fock:shared:ij_task");
       const ints::ScreenedPair& my_pair =
-          bra_pairs[static_cast<std::size_t>(my_plan.ij)];
+          bra_pairs[static_cast<std::size_t>(pos)];
       const std::size_t i = my_pair.i;
       const std::size_t j = my_pair.j;
       // Canonical pair index of (i,j); the kl loop stays triangular over
       // canonical pair indices regardless of the list's claim order.
       const long ij = static_cast<long>(my_pair.canonical);
-      const basis::Shell& shj = bs.shell(j);
-
-      if (my_plan.flush_shell >= 0) {
-        flush_buffer(fi_buf, fi_lane, nt,
-                     bs.shell(static_cast<std::size_t>(my_plan.flush_shell)),
-                     nbf, f_acc, th, fi.data());
-      }
 
 #pragma omp for schedule(runtime) nowait
       for (long kl = 0; kl <= ij; ++kl) {
@@ -256,26 +222,31 @@ void FockBuilderShared::build(const la::Matrix& density, la::Matrix& g,
         qbatch.add(i, j, k, l, static_cast<std::uint64_t>(kl));
         if (qbatch.full()) digest_batch();
       }
-      // Drain before the epoch ends: F_kl exclusivity only holds until the
-      // end-of-kl-loop barrier below.
       digest_batch();
-      // End of kl loop (nowait + explicit barrier): orders the direct
-      // shared-Fock F_kl writes against the FJ flush that follows.
-      MC_PROTOCOL_BARRIER(&plan, th);
-
-      // Flush FJ after every kl loop (Algorithm 3 line 31).
-      flush_buffer(fj_buf, fj_lane, nt, shj, nbf, f_acc, th, fj.data());
-    }
-
-    // Flush the remaining FI contribution (Algorithm 3 line 36). iold was
-    // last written by the master before the loop-exit barriers, so every
-    // thread observes the same final value here.
-    if (iold >= 0) {
-      flush_buffer(fi_buf, fi_lane, nt,
-                   bs.shell(static_cast<std::size_t>(iold)), nbf, f_acc, th,
-                   fi.data());
+      // Claim ahead, after the master's own kl share.
 #pragma omp master
-      ++fi_flushes_;
+      slot[cur ^ 1] = claim();
+      // End-of-kl barrier: orders the direct F_kl writes and every lane
+      // write before the flush, and publishes the next claim.
+      team_barrier();
+
+      // Flush FJ after every kl loop (Algorithm 3 line 31), and FI with it
+      // only when the next pair's i differs or the list is done (the lazy
+      // flush of lines 15-18 and 36). One static column split serves both,
+      // so on a diagonal pair one thread writes both stripes.
+      const long next = slot[cur ^ 1];
+      const bool flush_fi =
+          !opt_.lazy_fi_flush || next >= nlist ||
+          bra_pairs[static_cast<std::size_t>(next)].i != i;
+#pragma omp master
+      if (flush_fi) ++fi_flushes_;
+      th.set_task(pos);
+#pragma omp for schedule(static) nowait
+      for (long col = 0; col < static_cast<long>(nbf); ++col) {
+        const auto c = static_cast<std::size_t>(col);
+        flush_column(fj_buf, bs.shell(j), nbf, c, f_acc);
+        if (flush_fi) flush_column(fi_buf, bs.shell(i), nbf, c, f_acc);
+      }
     }
 
     // Distinct slot per thread, claimed through the checked slice; the
@@ -285,9 +256,9 @@ void FockBuilderShared::build(const la::Matrix& density, la::Matrix& g,
                                               thread_stats.size(), &th,
                                               reg_ts, 0);
     ts.set(static_cast<std::size_t>(tid), mine);
-    MC_TSAN_RELEASE(&plan);
+    MC_TSAN_RELEASE(slot);
   }
-  MC_TSAN_ACQUIRE(&plan);
+  MC_TSAN_ACQUIRE(slot);
   MC_TSAN_OMP_QUIESCE();  // fresh workers for the next region under TSan
   for (const scf::BuildStats& t : thread_stats) stats_.add_thread(t);
 

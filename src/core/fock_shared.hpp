@@ -18,11 +18,16 @@
 //    kl pairs, so the (k,l) shell blocks are disjoint.
 //  * Contributions to shell-i columns (F_ij, F_ik, F_il) go to the
 //    thread-private FI buffer; shell-j columns (F_jk, F_jl) to FJ.
-//  * FJ is flushed (row-chunked parallel reduction over thread columns,
+//  * FJ is flushed (column-partitioned reduction over thread columns,
 //    Figure 1B) after every kl loop; FI is flushed lazily, only when the
-//    i index changes -- usually it does not, which is the key optimization.
+//    next pair's i differs -- usually it does not, which is the key
+//    optimization.
 //  * Thread columns are padded to cache-line multiples to avoid false
 //    sharing (ablated by bench_ablations).
+//  * Two team barriers per claimed pair (DESIGN.md 8.1): the master claims
+//    the next pair ahead and the end-of-kl barrier publishes it; the
+//    column owners' flush (read and zero every lane) is ordered before the
+//    next kl loop by that pair's start barrier.
 
 #include "par/ddi.hpp"
 #include "scf/fock_builder.hpp"

@@ -45,10 +45,12 @@ void add_channel_ns(Channel c, int rank, std::uint64_t ns);
 [[nodiscard]] double channel_seconds(Channel c, int rank);
 
 /// RAII channel accumulation: adds the scope's duration to (c, rank).
+/// `on = false` makes it inert (e.g. on every thread of a team but the one
+/// that speaks for the rank).
 class ScopedChannelTimerImpl {
  public:
-  ScopedChannelTimerImpl(Channel c, int rank) {
-    if (metrics_enabled()) {
+  ScopedChannelTimerImpl(Channel c, int rank, bool on = true) {
+    if (on && metrics_enabled()) {
       active_ = true;
       c_ = c;
       rank_ = rank;
@@ -69,7 +71,7 @@ class ScopedChannelTimerImpl {
 };
 
 struct ScopedChannelTimerNoop {
-  ScopedChannelTimerNoop(Channel /*c*/, int /*rank*/) {}
+  ScopedChannelTimerNoop(Channel /*c*/, int /*rank*/, bool /*on*/ = true) {}
 };
 
 #if MC_OBS

@@ -8,6 +8,7 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <vector>
 
 #include "basis/basis_set.hpp"
 #include "chem/builders.hpp"
@@ -120,22 +121,51 @@ TEST(SharedFockAblation, PaddingAndScheduleDoNotChangeResult) {
 }
 
 TEST(SharedFock, LazyFlushingFlushesPerIChangeNotPerPair) {
+  // With one rank the DLB counter hands out every list position in order,
+  // so the claim and flush counts follow from the list alone: every
+  // position is claimed; a lazy FI flush fires once per run of equal i
+  // among the pairs that pass the ij prescreen, an eager one once per
+  // such pair -- whatever the team size, and under a weighted context.
   Fixture fx(chem::builders::benzene(), "STO-3G");
-  std::size_t flushes = 0, pairs = 0;
-  par::run_spmd(1, [&](par::Comm& comm) {
-    par::Ddi ddi(comm);
-    SharedFockOptions opt;
-    opt.nthreads = 2;
-    FockBuilderShared b(fx.eri, fx.screen, ddi, opt);
-    la::Matrix g(fx.bs.nbf(), fx.bs.nbf());
-    b.build(fx.d, g);
-    flushes = b.last_fi_flushes();
-    pairs = b.last_pairs_claimed();
-  });
-  EXPECT_GT(pairs, fx.bs.nshells());
-  // With one rank, i changes exactly nshells times across the pair sweep.
-  EXPECT_LE(flushes, fx.bs.nshells());
-  EXPECT_LT(flushes, pairs / 2);
+  const std::vector<ints::ScreenedPair>& list = fx.screen.bra_grouped_pairs();
+  const scf::FockContext trivial;
+  for (const bool delta : {false, true}) {
+    const scf::FockContext& ctx = delta ? fx.delta_ctx : trivial;
+    const la::Matrix& d = delta ? fx.d_delta : fx.d;
+    const scf::QuartetCascade cascade(fx.screen, ctx);
+    std::size_t kept = 0;
+    std::size_t runs = 0;
+    long last_i = -1;
+    for (const ints::ScreenedPair& pr : list) {
+      if (!cascade.keep_pair(pr.i, pr.j)) continue;
+      ++kept;
+      if (static_cast<long>(pr.i) != last_i) ++runs;
+      last_i = static_cast<long>(pr.i);
+    }
+    ASSERT_LT(2 * runs, kept) << "lazy flushing should matter here";
+    for (const int nt : {1, 2, 4}) {
+      for (const bool lazy : {true, false}) {
+        std::size_t flushes = 0;
+        std::size_t pairs = 0;
+        par::run_spmd(1, [&](par::Comm& comm) {
+          par::Ddi ddi(comm);
+          SharedFockOptions opt;
+          opt.nthreads = nt;
+          opt.lazy_fi_flush = lazy;
+          FockBuilderShared b(fx.eri, fx.screen, ddi, opt);
+          la::Matrix g(fx.bs.nbf(), fx.bs.nbf());
+          b.build(d, g, ctx);
+          flushes = b.last_fi_flushes();
+          pairs = b.last_pairs_claimed();
+        });
+        const std::string where = std::string(delta ? "delta" : "full") +
+                                  ", " + std::to_string(nt) + " threads, " +
+                                  (lazy ? "lazy" : "eager");
+        EXPECT_EQ(pairs, list.size()) << where;
+        EXPECT_EQ(flushes, lazy ? runs : kept) << where;
+      }
+    }
+  }
 }
 
 TEST(SharedFockEdgeCases, SingleThreadDegeneratesToSerialProtocol) {
@@ -156,9 +186,10 @@ TEST(SharedFockEdgeCases, SingleThreadDegeneratesToSerialProtocol) {
 }
 
 TEST(SharedFockEdgeCases, ScreeningEverythingLeavesGZeroWithoutFlushing) {
-  // An absurd threshold kills every (i,j) pair before the kl loop: the lazy
-  // FI buffer is never dirtied (iold stays -1) and the no-final-flush path
-  // must still produce a well-defined all-zero skeleton on every rank.
+  // An absurd threshold kills every (i,j) pair: the master's first claim
+  // already runs past the list, so the team passes one barrier, never
+  // dirties or flushes a lane, and must still produce a well-defined
+  // all-zero skeleton on every rank.
   Fixture fx(chem::builders::water(), "STO-3G", /*screen_threshold=*/1e30);
   ASSERT_EQ(fx.g_ref.max_abs(), 0.0);
   la::Matrix g = build_distributed(fx, 2, [&](par::Ddi& ddi) {

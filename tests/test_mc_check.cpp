@@ -286,6 +286,80 @@ TEST(ToyProtocol, MissingFlushBarrierCaughtDeterministically) {
   check::Registry::instance().reset();
 }
 
+// ---- The column-owner flush of the shared builder, in miniature ----
+//
+// After the lane writes and a barrier, the owner of column c takes (reads
+// and zeroes) element c of every lane into F; then each lane's owner
+// writes its lane again, as for the next claimed pair. Only the barrier
+// after the flush orders a take of a peer's lane before that peer's next
+// write. Without it every element a column owner took from a peer's lane
+// meets the peer's same-epoch write: a write/write conflict on any
+// schedule.
+
+std::size_t run_toy_take_flush(int nt, bool skip_post_flush_barrier) {
+  check::ScopedForce force(true);
+  const std::size_t stride = 16;
+  std::vector<double> f(stride, 0.0);
+  std::vector<double> lanes(static_cast<std::size_t>(nt) * stride, 0.0);
+  acc::BuildChecker<true> checker(/*rank=*/0, nt);
+  const int reg_f = checker.region("F", f.size());
+  const int reg_fj = checker.region("FJ", lanes.size());
+#pragma omp parallel num_threads(nt)
+  {
+    const int tid = omp_get_thread_num();
+    acc::ThreadCtx<true> th(checker, tid);
+    const acc::TeamBuffer<double, true> buf(lanes.data(), nt, stride, &th,
+                                            reg_fj);
+    const acc::ThreadPrivate<double, true> mine = buf.lane(tid);
+    const acc::OwnedSlice<double, true> facc(f.data(), f.size(), &th, reg_f,
+                                             0);
+    th.set_task(tid);
+    for (std::size_t i = 0; i < stride; ++i) mine.add(i, 1.0);
+    MC_PROTOCOL_BARRIER(f.data(), th);
+#pragma omp for schedule(static) nowait
+    for (int c = 0; c < static_cast<int>(stride); ++c) {
+      double sum = 0.0;
+      for (int t = 0; t < nt; ++t) {
+        sum += buf.take(t, static_cast<std::size_t>(c));
+      }
+      facc.add(static_cast<std::size_t>(c), sum);
+    }
+    if (!skip_post_flush_barrier) MC_PROTOCOL_BARRIER(f.data(), th);
+    for (std::size_t i = 0; i < stride; ++i) mine.add(i, 1.0);
+  }
+  const std::size_t violations = checker.violations();
+  if (violations != 0) {
+    EXPECT_THROW(checker.finalize(), mc::Error);
+  } else {
+    checker.finalize();
+    for (const double v : f) EXPECT_EQ(v, static_cast<double>(nt));
+    for (const double v : lanes) EXPECT_EQ(v, 1.0);
+  }
+  return violations;
+}
+
+TEST(ToyProtocol, ColumnOwnerFlushWithPostFlushBarrierIsClean) {
+  check::Registry::instance().reset();
+  EXPECT_EQ(run_toy_take_flush(/*nt=*/4, /*skip_post_flush_barrier=*/false),
+            0u);
+  EXPECT_EQ(check::Registry::instance().count(), 0u);
+}
+
+TEST(ToyProtocol, MissingPostFlushBarrierCaughtDeterministically) {
+  check::Registry::instance().reset();
+  const std::size_t violations =
+      run_toy_take_flush(/*nt=*/2, /*skip_post_flush_barrier=*/true);
+  // Deterministic lower bound: each column is taken from the one foreign
+  // lane at nt=2, and that lane's owner rewrites it in the same epoch.
+  EXPECT_GE(violations, 16u);
+  bool found = false;
+  for (const check::Violation& v : check::Registry::instance().violations()) {
+    if (v.region == "FJ" && !v.read_write) found = true;
+  }
+  EXPECT_TRUE(found) << "expected a write/write conflict on the lane buffer";
+  check::Registry::instance().reset();
+}
+
 // ---- The real builders under a live ledger ----
 
 TEST(McCheckBuilders, SharedFockBenzeneHasZeroViolations) {

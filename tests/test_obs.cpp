@@ -485,6 +485,48 @@ TEST(ObsCounters, AllBuildersScreenTheSameQuartets) {
   }
 }
 
+// --- team sync -------------------------------------------------------------
+
+TEST(Metrics, HybridTeamBarriersChargeTheRankBarrierChannel) {
+  // The team master of the shared and private builders is the rank thread:
+  // it charges its team-barrier waits to the rank's barrier channel, and
+  // only with metrics on. A one-rank build calls no minimpi barrier, so
+  // the channel holds the team-sync time alone.
+  ObsFlagGuard guard;
+  const FockFixture& fx = fixture();
+  using Make = std::function<std::unique_ptr<scf::FockBuilder>(par::Ddi&)>;
+  const std::vector<std::pair<const char*, Make>> builders = {
+      {"shared-fock",
+       [&](par::Ddi& ddi) {
+         SharedFockOptions opt;
+         opt.nthreads = 2;
+         return std::make_unique<FockBuilderShared>(fx.eri, fx.screen, ddi,
+                                                    opt);
+       }},
+      {"private-fock",
+       [&](par::Ddi& ddi) {
+         PrivateFockOptions opt;
+         opt.nthreads = 2;
+         return std::make_unique<FockBuilderPrivate>(fx.eri, fx.screen, ddi,
+                                                     opt);
+       }},
+  };
+  for (const bool on : {true, false}) {
+    for (const auto& [what, make] : builders) {
+      obs::set_metrics_enabled(on);
+      obs::reset_metrics();
+      count_build(fx, 1, fx.d, scf::FockContext{}, make);
+      const std::uint64_t ns = obs::channel_ns(obs::Channel::kBarrier, 0);
+      if (on) {
+        EXPECT_GT(ns, 0u) << what;
+      } else {
+        EXPECT_EQ(ns, 0u) << what;
+      }
+    }
+  }
+  obs::reset_metrics();
+}
+
 // --- profile sessions ------------------------------------------------------
 
 std::size_t extract_size(const std::string& s, const std::string& key,
