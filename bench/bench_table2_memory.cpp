@@ -78,8 +78,7 @@ void dist_window_footprint() {
     std::vector<std::size_t> measured(static_cast<std::size_t>(nranks), 0);
     par::run_spmd(nranks, [&](par::Comm& comm) {
       par::Ddi ddi(comm);
-      const core::TileLayout lay =
-          core::TileLayout::build(bs, comm.size(), 0);
+      const core::TileLayout lay = core::TileLayout::build(bs, comm.size());
       par::Window wd = ddi.create("bench:t2:D", lay.rank_elems);
       par::Window wf = ddi.create("bench:t2:F", lay.rank_elems);
       measured[static_cast<std::size_t>(comm.rank())] =

@@ -1,7 +1,6 @@
 #include "core/fock_dist.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <vector>
 
 #include "common/access.hpp"
@@ -11,24 +10,18 @@
 
 namespace mc::core {
 
-TileLayout TileLayout::build(const basis::BasisSet& bs, int nranks,
-                             int target_rows) {
+TileLayout TileLayout::build(const basis::BasisSet& bs, int nranks) {
   MC_CHECK(nranks >= 1, "TileLayout needs at least one rank");
   TileLayout lay;
   lay.nbf = bs.nbf();
   const std::size_t nshells = bs.nshells();
   MC_CHECK(nshells > 0, "TileLayout needs a non-empty basis");
 
-  std::size_t target = static_cast<std::size_t>(
-      target_rows > 0 ? target_rows : 0);
-  if (target == 0) {
-    // Auto: about four tiles per rank keeps the cyclic owner assignment
-    // balanced while tiles stay panel-sized; never below a shell width.
-    target = std::max<std::size_t>(
-        static_cast<std::size_t>(bs.max_shell_size()),
-        lay.nbf / (4 * static_cast<std::size_t>(nranks)));
-    target = std::max<std::size_t>(target, 1);
-  }
+  // About four tiles per rank keeps the cyclic owner assignment balanced
+  // while tiles stay panel-sized; never below a shell width.
+  const std::size_t target = std::max<std::size_t>(
+      static_cast<std::size_t>(bs.max_shell_size()),
+      lay.nbf / (4 * static_cast<std::size_t>(nranks)));
 
   // Walk shells, closing a tile at the first shell boundary at or past
   // `target` rows. Shells never straddle tiles, so a shell's rows live in
@@ -84,21 +77,17 @@ TileLayout TileLayout::build(const basis::BasisSet& bs, int nranks,
   return lay;
 }
 
-/// Rank-local cache of density tiles over the D window. Tiles become
-/// resident via request() (a one-sided get on miss) and are only evicted
-/// inside request() when a budget is set -- never while row pointers from
-/// a scatter are live (flush_batch pins the batch's tiles first). Tiles
-/// whose FockContext block norms are exactly zero are served from a shared
-/// all-zero row and never fetched.
+/// Rank-local density tiles over the D window. A tile is fetched with one
+/// one-sided get on its first request and kept for the rest of the build,
+/// so each rank fetches each tile it reads once. Tiles whose FockContext
+/// block norms are exactly zero are served from a shared all-zero row and
+/// never fetched.
 struct FockBuilderDist::DCache {
-  DCache(const TileLayout& lay, par::Ddi& ddi, const par::Window& win,
-         std::size_t budget)
-      : lay_(&lay), ddi_(&ddi), win_(&win), budget_(budget),
-        tiles_(lay.ntiles), stamp_(lay.ntiles, 0), pinned_(lay.ntiles, 0),
+  DCache(const TileLayout& lay, par::Ddi& ddi, const par::Window& win)
+      : lay_(&lay), ddi_(&ddi), win_(&win), tiles_(lay.ntiles),
         is_zero_(lay.ntiles, 0), zero_(lay.nbf, 0.0) {}
 
   void request(std::uint32_t t) {
-    stamp_[t] = ++clock_;
     if (is_zero_[t] != 0) {
       ++zero_hits_;
       return;
@@ -108,22 +97,9 @@ struct FockBuilderDist::DCache {
       return;
     }
     ++misses_;
-    if (budget_ != 0 && resident_ >= budget_) evict_lru(budget_ - 1);
     tiles_[t] = TrackedBuffer("dist-tile-cache", lay_->tile_elems(t));
-    ++resident_;
     ddi_->get(*win_, lay_->tile_offset[t], tiles_[t].data(),
               lay_->tile_elems(t));
-  }
-
-  void pin(std::uint32_t t) {
-    if (pinned_[t] == 0) {
-      pinned_[t] = 1;
-      pin_list_.push_back(t);
-    }
-  }
-  void unpin_all() {
-    for (std::uint32_t t : pin_list_) pinned_[t] = 0;
-    pin_list_.clear();
   }
 
   /// Row base pointer; the row's tile must be resident (request()ed).
@@ -133,74 +109,31 @@ struct FockBuilderDist::DCache {
     return tiles_[t].data() + (r - lay_->tile_row0[t]) * lay_->nbf;
   }
 
-  void evict_lru(std::size_t target) {
-    while (resident_ > target) {
-      std::size_t victim = lay_->ntiles;
-      std::uint64_t oldest = 0;
-      for (std::size_t t = 0; t < lay_->ntiles; ++t) {
-        if (tiles_[t].data() == nullptr || pinned_[t] != 0) continue;
-        if (victim == lay_->ntiles || stamp_[t] < oldest) {
-          victim = t;
-          oldest = stamp_[t];
-        }
-      }
-      if (victim == lay_->ntiles) break;  // everything resident is pinned
-      tiles_[victim] = TrackedBuffer();
-      --resident_;
-    }
-  }
-
   const TileLayout* lay_;
   par::Ddi* ddi_;
   const par::Window* win_;
-  std::size_t budget_;
   std::vector<TrackedBuffer> tiles_;
-  std::vector<std::uint64_t> stamp_;
-  std::vector<std::uint8_t> pinned_;
   std::vector<std::uint8_t> is_zero_;
   std::vector<double> zero_;  ///< one all-zero row serves every zero tile
-  std::vector<std::uint32_t> pin_list_;
-  std::uint64_t clock_ = 0;
-  std::size_t resident_ = 0;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
   std::size_t zero_hits_ = 0;
 };
 
 /// Rank-local F panel accumulators. A panel opens zeroed on first touch
-/// and is flushed to the F window with one ddi_acc -- at the end of the
-/// build, or early (LRU) when max_open_f_tiles is exceeded. acc commutes,
-/// so early flushes only reassociate the per-element sums. Writes go
-/// through OwnedSlice so the MC_CHECK shadow ledger (and mc-lint) sees
-/// every update as sanctioned.
+/// and every open panel is flushed to the F window with one ddi_acc at the
+/// end of the build. Writes go through OwnedSlice so the MC_CHECK shadow
+/// ledger (and mc-lint) sees every update as sanctioned.
 struct FockBuilderDist::FAcc {
   FAcc(const TileLayout& lay, par::Ddi& ddi, const par::Window& win,
-       std::size_t budget, acc::BuildChecker<>& checker, acc::ThreadCtx<>& th)
-      : lay_(&lay), ddi_(&ddi), win_(&win), budget_(budget),
-        checker_(&checker), th_(&th), tiles_(lay.ntiles),
-        region_(lay.ntiles, -1), stamp_(lay.ntiles, 0),
-        pinned_(lay.ntiles, 0) {}
+       acc::BuildChecker<>& checker, acc::ThreadCtx<>& th)
+      : lay_(&lay), ddi_(&ddi), win_(&win), checker_(&checker), th_(&th),
+        tiles_(lay.ntiles), region_(lay.ntiles, -1) {}
 
   void request(std::uint32_t t) {
-    stamp_[t] = ++clock_;
     if (tiles_[t].data() != nullptr) return;
-    if (budget_ != 0 && resident_ >= budget_) {
-      flush_lru(budget_ - 1);
-    }
     tiles_[t] = TrackedBuffer("dist-fock-acc", lay_->tile_elems(t));
     region_[t] = checker_->region("dist-f-panel", lay_->tile_elems(t));
-    ++resident_;
-  }
-
-  void pin(std::uint32_t t) {
-    if (pinned_[t] == 0) {
-      pinned_[t] = 1;
-      pin_list_.push_back(t);
-    }
-  }
-  void unpin_all() {
-    for (std::uint32_t t : pin_list_) pinned_[t] = 0;
-    pin_list_.clear();
   }
 
   /// The row's panel as an annotated slice; must be request()ed first.
@@ -211,50 +144,22 @@ struct FockBuilderDist::FAcc {
                                    region_[t], off);
   }
 
-  void flush_tile(std::size_t t) {
-    ddi_->acc(*win_, lay_->tile_offset[t], tiles_[t].data(),
-              lay_->tile_elems(t));
-    tiles_[t] = TrackedBuffer();
-    --resident_;
-  }
-
-  void flush_lru(std::size_t target) {
-    while (resident_ > target) {
-      std::size_t victim = lay_->ntiles;
-      std::uint64_t oldest = 0;
-      for (std::size_t t = 0; t < lay_->ntiles; ++t) {
-        if (tiles_[t].data() == nullptr || pinned_[t] != 0) continue;
-        if (victim == lay_->ntiles || stamp_[t] < oldest) {
-          victim = t;
-          oldest = stamp_[t];
-        }
-      }
-      if (victim == lay_->ntiles) break;
-      flush_tile(victim);
-      ++early_flushes_;
-    }
-  }
-
   void flush_all() {
     for (std::size_t t = 0; t < lay_->ntiles; ++t) {
-      if (tiles_[t].data() != nullptr) flush_tile(t);
+      if (tiles_[t].data() == nullptr) continue;
+      ddi_->acc(*win_, lay_->tile_offset[t], tiles_[t].data(),
+                lay_->tile_elems(t));
+      tiles_[t] = TrackedBuffer();
     }
   }
 
   const TileLayout* lay_;
   par::Ddi* ddi_;
   const par::Window* win_;
-  std::size_t budget_;
   acc::BuildChecker<>* checker_;
   acc::ThreadCtx<>* th_;
   std::vector<TrackedBuffer> tiles_;
   std::vector<int> region_;
-  std::vector<std::uint64_t> stamp_;
-  std::vector<std::uint8_t> pinned_;
-  std::vector<std::uint32_t> pin_list_;
-  std::uint64_t clock_ = 0;
-  std::size_t resident_ = 0;
-  std::size_t early_flushes_ = 0;
 };
 
 void FockBuilderDist::flush_batch(ints::QuartetBatch& batch, DCache& dcache,
@@ -263,18 +168,9 @@ void FockBuilderDist::flush_batch(ints::QuartetBatch& batch, DCache& dcache,
   const basis::BasisSet& bs = eri_->basis_set();
   batch.evaluate();
 
-  // Residency pass before any row pointers are taken: pin, then
-  // materialize, every tile this batch touches. Rows used are those of
-  // shells i, j, k -- in eqs. 2a-2f the l index only ever appears as a
-  // column. Eviction/early-flush happens only here, so pointers and
-  // slices stay valid across the whole scatter below.
-  for (const auto& e : batch.quartets()) {
-    for (std::uint32_t s : {e.si, e.sj, e.sk}) {
-      const std::uint32_t t = layout_->shell_tile[s];
-      dcache.pin(t);
-      facc.pin(t);
-    }
-  }
+  // Make every tile this batch touches resident before the scatter: the
+  // rows used are those of shells i, j, k -- in eqs. 2a-2f the l index
+  // only ever appears as a column.
   for (const auto& e : batch.quartets()) {
     for (std::uint32_t s : {e.si, e.sj, e.sk}) {
       const std::uint32_t t = layout_->shell_tile[s];
@@ -284,7 +180,7 @@ void FockBuilderDist::flush_batch(ints::QuartetBatch& batch, DCache& dcache,
   }
 
   // The dist route of scf::scatter_updates: F rows are rows of the open F
-  // panels, D rows rows of the cached density tiles. Scatter runs in
+  // panels, D rows rows of the fetched density tiles. Scatter runs in
   // discovery order.
   struct TileRoute {
     DCache& dc;
@@ -309,9 +205,6 @@ void FockBuilderDist::flush_batch(ints::QuartetBatch& batch, DCache& dcache,
     scf::scatter_updates(bs, e.si, e.sj, e.sk, e.sl, batch.result(idx),
                          route);
   }
-
-  dcache.unpin_all();
-  facc.unpin_all();
   batch.clear();
 }
 
@@ -323,11 +216,9 @@ void FockBuilderDist::build(const la::Matrix& density, la::Matrix& g,
   const std::size_t nbf = bs.nbf();
   MC_CHECK(g.rows() == nbf && g.cols() == nbf, "G shape mismatch");
   zero_hits_ = 0;
-  early_flushes_ = 0;
 
   if (!layout_) {
-    layout_ = std::make_unique<TileLayout>(
-        TileLayout::build(bs, ddi_->size(), opt_.tile_rows));
+    layout_ = std::make_unique<TileLayout>(TileLayout::build(bs, ddi_->size()));
   }
   const TileLayout& lay = *layout_;
   const int rank = ddi_->rank();
@@ -349,8 +240,8 @@ void FockBuilderDist::build(const la::Matrix& density, la::Matrix& g,
 
   acc::BuildChecker<> checker(rank, /*nthreads=*/1);
   acc::ThreadCtx<> th(checker, /*tid=*/0);
-  DCache dcache(lay, *ddi_, dwin, opt_.max_cached_tiles);
-  FAcc facc(lay, *ddi_, fwin, opt_.max_open_f_tiles, checker, th);
+  DCache dcache(lay, *ddi_, dwin);
+  FAcc facc(lay, *ddi_, fwin, checker, th);
 
   // Zero-tile map: a tile whose every shell-pair block norm is exactly
   // zero contains only (+/-)0.0 entries, so reads can be served from a
@@ -374,47 +265,23 @@ void FockBuilderDist::build(const la::Matrix& density, la::Matrix& g,
     }
   }
 
-  // One claim loop serves both distributions: the DLB counter (GAMESS
-  // dlbnext sequence: one call before the loop, one per claimed pair) or
-  // the HONPAS-style static cyclic slice of the Schwarz-sorted pair list,
-  // which spreads the expensive pairs evenly over ranks without any
-  // shared-counter traffic. Claim-ahead pipeline: keep up to
-  // prefetch_depth claimed pairs in flight, issuing their bra-tile fetches
-  // at claim time so the gets overlap the ERI batches of the pairs ahead
-  // of them (the in-process analogue of double-buffered async prefetch).
+  // Algorithm 1's claim loop (GAMESS dlbnext sequence: one call before
+  // the loop, one per claimed pair) over the Schwarz-sorted pair list;
+  // only the route the scatter writes through differs from FockBuilderMpi.
   const auto& pairs = screen_->sorted_pairs();
-  const bool dlb = opt_.dynamic_lb;
-  const auto nranks = static_cast<std::size_t>(ddi_->size());
-  const auto my_rank = static_cast<std::size_t>(rank);
-  const std::size_t depth =
-      opt_.prefetch_depth > 0 ? static_cast<std::size_t>(opt_.prefetch_depth)
-                              : 0;
+  ddi_->dlb_reset();
   ints::QuartetBatch batch(*eri_);
-  auto process = [&](const ints::ScreenedPair& pr) {
-    ++stats_.pairs_claimed;
-    cascade.for_each_kept(
-        pr.i, pr.j, stats_, [&](std::size_t k, std::size_t l) {
-          batch.add(pr.i, pr.j, k, l);
-          if (batch.full()) flush_batch(batch, dcache, facc);
-        });
-  };
-  if (dlb) ddi_->dlb_reset();
-  long next = dlb ? ddi_->dlbnext() : 0;
-  std::deque<std::size_t> claimed;
+  long next = ddi_->dlbnext();
   for (std::size_t p = 0; p < pairs.size(); ++p) {
-    if (dlb ? static_cast<long>(p) != next : p % nranks != my_rank) continue;
-    if (dlb) next = ddi_->dlbnext();
-    dcache.request(layout_->shell_tile[pairs[p].i]);
-    dcache.request(layout_->shell_tile[pairs[p].j]);
-    claimed.push_back(p);
-    if (claimed.size() > depth) {
-      process(pairs[claimed.front()]);
-      claimed.pop_front();
-    }
-  }
-  while (!claimed.empty()) {
-    process(pairs[claimed.front()]);
-    claimed.pop_front();
+    if (static_cast<long>(p) != next) continue;
+    next = ddi_->dlbnext();
+    ++stats_.pairs_claimed;
+    const std::size_t i = pairs[p].i;
+    const std::size_t j = pairs[p].j;
+    cascade.for_each_kept(i, j, stats_, [&](std::size_t k, std::size_t l) {
+      batch.add(i, j, k, l);
+      if (batch.full()) flush_batch(batch, dcache, facc);
+    });
   }
   flush_batch(batch, dcache, facc);
 
@@ -436,7 +303,6 @@ void FockBuilderDist::build(const la::Matrix& density, la::Matrix& g,
   stats_.tile_hits = dcache.hits_;
   stats_.tile_misses = dcache.misses_;
   zero_hits_ = dcache.zero_hits_;
-  early_flushes_ = facc.early_flushes_;
   checker.finalize();
 }
 

@@ -49,8 +49,7 @@ std::unique_ptr<scf::FockBuilder> make_builder(
     }
     case ScfAlgorithm::kDistFock:
       // Single-threaded per rank (like MPI-only); cfg.nthreads is ignored.
-      return std::make_unique<FockBuilderDist>(eri, screen, ddi,
-                                               cfg.dist_options);
+      return std::make_unique<FockBuilderDist>(eri, screen, ddi);
   }
   MC_CHECK(false, "unknown algorithm");
   return nullptr;

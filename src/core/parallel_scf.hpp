@@ -40,7 +40,6 @@ struct ParallelScfConfig {
   /// Algorithm-specific tuning (nthreads fields are overridden).
   SharedFockOptions shared_options;
   PrivateFockOptions private_options;
-  DistFockOptions dist_options;
 };
 
 /// Optional warm inputs for a run, owned by the caller (the job server's

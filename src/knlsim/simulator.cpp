@@ -262,9 +262,8 @@ SimResult Simulator::run(const SimConfig& cfg) const {
       // Algorithm 4 (this repo): the MPI-only pair loop -- single-threaded
       // ranks, same DLB claims and kl sweeps -- but the N^2 gsumf is
       // replaced by one-sided window traffic. Each rank streams about
-      // 2 N^2 / N_ranks doubles of density tiles in (cached, and half
-      // hidden behind the ERI pipeline by the claim-ahead prefetch) and
-      // accs the same volume of F panels out.
+      // 2 N^2 / N_ranks doubles of density tiles in (each fetched once per
+      // build) and accs the same volume of F panels out.
       tasks.reserve(wl.pairs().size());
       for (std::size_t p = 0; p < wl.pairs().size(); ++p) {
         const double work = wl.task_cost()[p] * conv;
@@ -280,7 +279,7 @@ SimResult Simulator::run(const SimConfig& cfg) const {
       sync_total += ns * calib_.dlb_rtt_s / total_ranks;
       const double win_bytes = 2.0 * static_cast<double>(wl.nbf()) *
                                wl.nbf() * sizeof(double) / total_ranks;
-      flush_total += (2.0 - 0.5) * win_bytes / bw_eff;  // half the gets hide
+      flush_total += 2.0 * win_bytes / bw_eff;  // every get and every acc
       break;
     }
   }

@@ -73,7 +73,6 @@ const char* channel_name(Channel c) {
     case Channel::kDlbWait: return "dlb_wait";
     case Channel::kGsum: return "gsum";
     case Channel::kBarrier: return "barrier";
-    case Channel::kBroadcast: return "broadcast";
     case Channel::kPut: return "put";
     case Channel::kGet: return "get";
     case Channel::kAcc: return "acc";

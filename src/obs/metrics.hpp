@@ -1,10 +1,11 @@
 #pragma once
 // Load-balance metrics (DESIGN.md section 10): per-rank accumulators for
 // the time categories the paper's evaluation is built on -- DLB-counter
-// wait, gsumf/allreduce, barrier, broadcast -- plus the per-iteration
-// record the SCF drivers emit as machine-readable JSON lines when run
-// with --profile (one record per SCF iteration, schema in DESIGN.md
-// section 10.2, mapped to the paper's Tables 2-3 in EXPERIMENTS.md).
+// wait, gsumf/allreduce, barrier, one-sided window traffic -- plus the
+// per-iteration record the SCF drivers emit as machine-readable JSON
+// lines when run with --profile (one record per SCF iteration, schema in
+// DESIGN.md section 10.2, mapped to the paper's Tables 2-3 in
+// EXPERIMENTS.md).
 //
 // Gating mirrors obs/trace.hpp: MC_OBS=0 collapses ScopedChannelTimer to
 // an empty type; with MC_OBS=1 the timer costs one relaxed atomic load
@@ -26,12 +27,11 @@ enum class Channel : int {
   kDlbWait = 0,   ///< time spent claiming from the shared DLB counter
   kGsum = 1,      ///< ddi_gsumf / allreduce (sum and max)
   kBarrier = 2,   ///< explicit barriers (and window fences)
-  kBroadcast = 3, ///< ddi_bcast
-  kPut = 4,       ///< one-sided ddi_put into a window
-  kGet = 5,       ///< one-sided ddi_get from a window
-  kAcc = 6,       ///< one-sided ddi_acc accumulate into a window
+  kPut = 3,       ///< one-sided ddi_put into a window
+  kGet = 4,       ///< one-sided ddi_get from a window
+  kAcc = 5,       ///< one-sided ddi_acc accumulate into a window
 };
-inline constexpr int kChannelCount = 7;
+inline constexpr int kChannelCount = 6;
 [[nodiscard]] const char* channel_name(Channel c);
 
 [[nodiscard]] bool metrics_enabled();

@@ -25,15 +25,6 @@ class Ddi {
 
   /// ddi_gsumf: global floating-point sum of a matrix over ranks.
   void gsumf(la::Matrix& m) { comm_->allreduce_sum(m.data(), m.size()); }
-  /// ddi_gsumf on a raw buffer.
-  void gsumf(double* data, std::size_t n) { comm_->allreduce_sum(data, n); }
-
-  /// ddi_bcast equivalent.
-  void bcast(la::Matrix& m, int root = 0) {
-    comm_->broadcast(m.data(), m.size(), root);
-  }
-
-  void barrier() { comm_->barrier(); }
 
   // -- One-sided distributed arrays (ddi_create / ddi_put / ddi_get /
   // ddi_acc / ddi_sync / ddi_destroy). A Window is a block-distributed

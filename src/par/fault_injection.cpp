@@ -44,10 +44,7 @@ const char* fault_op_name(FaultOp op) {
     case FaultOp::kBarrier: return "barrier";
     case FaultOp::kAllreduceSum: return "allreduce_sum";
     case FaultOp::kAllreduceMax: return "allreduce_max";
-    case FaultOp::kBroadcast: return "broadcast";
     case FaultOp::kDlbReset: return "dlb_reset";
-    case FaultOp::kSend: return "send";
-    case FaultOp::kRecv: return "recv";
     case FaultOp::kWinPut: return "win_put";
     case FaultOp::kWinGet: return "win_get";
     case FaultOp::kWinAcc: return "win_acc";
@@ -56,24 +53,20 @@ const char* fault_op_name(FaultOp op) {
   return "unknown";
 }
 
-FaultOp fault_op_from_name(const std::string& name) {
-  for (FaultOp op : {FaultOp::kNone, FaultOp::kSpawn, FaultOp::kBarrier,
-                     FaultOp::kAllreduceSum, FaultOp::kAllreduceMax,
-                     FaultOp::kBroadcast, FaultOp::kDlbReset, FaultOp::kSend,
-                     FaultOp::kRecv, FaultOp::kWinPut, FaultOp::kWinGet,
-                     FaultOp::kWinAcc, FaultOp::kWinFence}) {
-    if (name == fault_op_name(op)) return op;
-  }
-  throw mc::Error("fault injection: unknown MC_FAULT_OP '" + name + "'");
-}
-
 const std::vector<FaultOp>& injectable_fault_ops() {
   static const std::vector<FaultOp> ops = {
       FaultOp::kSpawn,        FaultOp::kBarrier,  FaultOp::kAllreduceSum,
-      FaultOp::kAllreduceMax, FaultOp::kBroadcast, FaultOp::kDlbReset,
-      FaultOp::kSend,         FaultOp::kRecv,     FaultOp::kWinPut,
+      FaultOp::kAllreduceMax, FaultOp::kDlbReset, FaultOp::kWinPut,
       FaultOp::kWinGet,       FaultOp::kWinAcc,   FaultOp::kWinFence};
   return ops;
+}
+
+FaultOp fault_op_from_name(const std::string& name) {
+  if (name == fault_op_name(FaultOp::kNone)) return FaultOp::kNone;
+  for (FaultOp op : injectable_fault_ops()) {
+    if (name == fault_op_name(op)) return op;
+  }
+  throw mc::Error("fault injection: unknown MC_FAULT_OP '" + name + "'");
 }
 
 std::string fault_plan_env_string(const FaultPlan& plan) {

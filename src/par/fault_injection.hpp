@@ -1,8 +1,8 @@
 #pragma once
 // Fault injection for the minimpi runtime.
 //
-// The abort protocol (AbortableBarrier + mailbox wakeup in run_spmd) is the
-// only thing standing between "one rank threw" and "every surviving rank
+// The abort protocol (AbortableBarrier::abort in run_spmd) is the only
+// thing standing between "one rank threw" and "every surviving rank
 // deadlocks inside a collective". That protocol is worthless unless it is
 // exercised, so this hook lets tests (or an operator, via environment
 // variables) make a chosen rank throw at a chosen call site:
@@ -36,10 +36,7 @@ enum class FaultOp {
   kBarrier,
   kAllreduceSum,
   kAllreduceMax,
-  kBroadcast,
   kDlbReset,
-  kSend,
-  kRecv,
   kWinPut,
   kWinGet,
   kWinAcc,

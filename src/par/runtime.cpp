@@ -42,24 +42,7 @@ void AbortableBarrier::abort() {
   cv_.notify_all();
 }
 
-bool AbortableBarrier::aborted() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return aborted_;
-}
-
 namespace detail {
-
-struct Message {
-  int src = 0;
-  int tag = 0;
-  std::vector<double> payload;
-};
-
-struct Mailbox {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<Message> messages;
-};
 
 struct WindowState {
   WindowState(std::string key_, const std::vector<std::size_t>& elems)
@@ -81,7 +64,7 @@ struct WindowState {
            1;
   }
 
-  std::string key;                     ///< blackboard key (for win_free)
+  std::string key;                     ///< registry key (for win_free)
   std::vector<std::size_t> rank_elems; ///< segment sizes, indexed by rank
   std::vector<std::size_t> rank_base;  ///< prefix sums, size nranks+1
   /// Per-rank segments; segments[r] is allocated by rank r inside
@@ -101,27 +84,24 @@ struct WindowState {
 
 struct SharedState {
   explicit SharedState(int n)
-      : nranks(n), barrier(n), contrib(static_cast<std::size_t>(n), nullptr),
-        mailboxes(static_cast<std::size_t>(n)) {}
+      : nranks(n), barrier(n), contrib(static_cast<std::size_t>(n), nullptr) {}
 
   int nranks;
   AbortableBarrier barrier;
 
-  // allreduce / broadcast staging.
+  // allreduce staging.
   std::vector<double*> contrib;
   std::vector<double> scratch;
-  std::mutex scratch_mu;
 
   // allreduce_max staging.
   std::atomic<std::uint64_t> max_bits{0};
 
   std::atomic<long> dlb_counter{0};
 
-  std::vector<Mailbox> mailboxes;
-
-  // Shared-object blackboard.
-  std::mutex board_mu;
-  std::map<std::string, std::shared_ptr<void>> board;
+  // Window registry: win_create attaches every rank to one WindowState
+  // per key; win_free erases the entry.
+  std::mutex windows_mu;
+  std::map<std::string, std::shared_ptr<WindowState>> windows;
 
   std::mutex err_mu;
   std::exception_ptr first_error;
@@ -156,16 +136,17 @@ std::size_t Window::rank_elems(int rank) const {
   return st_->rank_elems[static_cast<std::size_t>(rank)];
 }
 
-int Window::owner_of(std::size_t index) const {
-  return st_->owner_of(index);
-}
-
 Window Comm::win_create(const std::string& key,
                         const std::vector<std::size_t>& rank_elems) {
   MC_CHECK(rank_elems.size() == static_cast<std::size_t>(st_->nranks),
            "win_create: rank_elems must have one entry per rank");
   Window w;
-  w.st_ = get_or_create_shared<detail::WindowState>(key, key, rank_elems);
+  {
+    std::lock_guard<std::mutex> lk(st_->windows_mu);
+    std::shared_ptr<detail::WindowState>& entry = st_->windows[key];
+    if (!entry) entry = std::make_shared<detail::WindowState>(key, rank_elems);
+    w.st_ = entry;
+  }
   detail::WindowState& ws = *w.st_;
   MC_CHECK(ws.rank_elems == rank_elems,
            "win_create: ranks disagree on the window layout for '" + key +
@@ -188,7 +169,10 @@ void Comm::win_free(Window& w) {
   w.st_->segments[static_cast<std::size_t>(rank_)] = TrackedBuffer();
   // Single-rank erase + barrier: if every rank erased, a fast rank could
   // re-create the key and have it yanked by a slow peer's erase.
-  if (rank_ == 0) free_shared(w.st_->key);
+  if (rank_ == 0) {
+    std::lock_guard<std::mutex> lk(st_->windows_mu);
+    st_->windows.erase(w.st_->key);
+  }
   sync();  // entry gone before the key can be reused
   w.st_.reset();
 }
@@ -339,20 +323,6 @@ double Comm::allreduce_max(double v) {
   return out;
 }
 
-void Comm::broadcast(double* data, std::size_t n, int root) {
-  obs::ScopedChannelTimer ct(obs::Channel::kBroadcast, rank_);
-  maybe_inject_fault(rank_, FaultOp::kBroadcast);
-  detail::SharedState& st = *st_;
-  MC_CHECK(root >= 0 && root < st.nranks, "broadcast root out of range");
-  st.contrib[static_cast<std::size_t>(rank_)] = data;
-  sync();
-  if (rank_ != root) {
-    std::memcpy(data, st.contrib[static_cast<std::size_t>(root)],
-                n * sizeof(double));
-  }
-  sync();
-}
-
 long Comm::dlb_next() {
   // The shared-counter claim is the whole DLB cost in minimpi (no message
   // round-trip); attribute it to the DLB-wait channel anyway so the metric
@@ -367,79 +337,6 @@ void Comm::dlb_reset() {
   if (rank_ == 0) st_->dlb_counter.store(0, std::memory_order_relaxed);
   sync();
 }
-
-void Comm::send(int dst, int tag, const double* data, std::size_t n) {
-  maybe_inject_fault(rank_, FaultOp::kSend);
-  detail::SharedState& st = *st_;
-  MC_CHECK(dst >= 0 && dst < st.nranks, "send destination out of range");
-  detail::Mailbox& mb = st.mailboxes[static_cast<std::size_t>(dst)];
-  {
-    std::lock_guard<std::mutex> lk(mb.mu);
-    mb.messages.push_back({rank_, tag, std::vector<double>(data, data + n)});
-  }
-  mb.cv.notify_all();
-}
-
-std::vector<double> Comm::recv(int src, int tag) {
-  maybe_inject_fault(rank_, FaultOp::kRecv);
-  detail::SharedState& st = *st_;
-  detail::Mailbox& mb = st.mailboxes[static_cast<std::size_t>(rank_)];
-  std::unique_lock<std::mutex> lk(mb.mu);
-  // Untimed wait: both wake sources -- send() and the abort path in
-  // run_spmd -- notify while holding mb.mu, so a wakeup can never slip
-  // between the checks and the wait. (The previous 50 ms wait_for poll
-  // added up to 50 ms latency per lost notification and only noticed
-  // aborts on timeout.)
-  for (;;) {
-    for (auto it = mb.messages.begin(); it != mb.messages.end(); ++it) {
-      if (it->src == src && it->tag == tag) {
-        std::vector<double> out = std::move(it->payload);
-        mb.messages.erase(it);
-        return out;
-      }
-    }
-    if (st.barrier.aborted()) {
-      throw mc::Error("minimpi: recv aborted (peer rank failed)");
-    }
-    mb.cv.wait(lk);
-  }
-}
-
-std::shared_ptr<void> Comm::shared_lookup(const std::string& key) {
-  std::lock_guard<std::mutex> lk(st_->board_mu);
-  auto it = st_->board.find(key);
-  return it == st_->board.end() ? nullptr : it->second;
-}
-
-std::shared_ptr<void> Comm::shared_publish(
-    const std::string& key,
-    const std::function<std::shared_ptr<void>()>& make) {
-  std::lock_guard<std::mutex> lk(st_->board_mu);
-  auto it = st_->board.find(key);
-  if (it != st_->board.end()) return it->second;  // lost the race: reuse
-  auto obj = make();
-  st_->board.emplace(key, obj);
-  return obj;
-}
-
-void Comm::free_shared(const std::string& key) {
-  std::lock_guard<std::mutex> lk(st_->board_mu);
-  st_->board.erase(key);
-}
-
-namespace {
-
-/// Wake every rank blocked in recv(). The mailbox mutex is held across the
-/// notify so the wakeup cannot race into the gap between a receiver's
-/// abort-flag check and its wait.
-void wake_all_mailboxes(detail::SharedState& st) {
-  for (auto& mb : st.mailboxes) {
-    std::lock_guard<std::mutex> lk(mb.mu);
-    mb.cv.notify_all();
-  }
-}
-
-}  // namespace
 
 void run_spmd(int nranks, const std::function<void(Comm&)>& body) {
   MC_CHECK(nranks >= 1, "run_spmd needs at least one rank");
@@ -471,8 +368,6 @@ void run_spmd(int nranks, const std::function<void(Comm&)>& body) {
           if (!st.first_error) st.first_error = std::current_exception();
         }
         st.barrier.abort();
-        // Wake any rank blocked in recv.
-        wake_all_mailboxes(st);
       }
       MemoryTracker::set_current_rank(-1);
   };
@@ -487,7 +382,6 @@ void run_spmd(int nranks, const std::function<void(Comm&)>& body) {
       // surface the spawn failure (the survivors' abort errors are
       // secondary), leaving the job slot usable again via job_guard.
       st.barrier.abort();
-      wake_all_mailboxes(st);
       for (auto& t : threads) t.join();
       throw;
     }

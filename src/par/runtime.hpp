@@ -4,13 +4,13 @@
 // No MPI library is available in this reproduction environment, so "ranks"
 // are std::threads executing the same function ("single program"), each with
 // its own rank-private allocations (attributed via MemoryTracker). The
-// communication surface is exactly what the paper's three algorithms use:
+// communication surface is exactly the verbs the Fock builders and the SCF
+// driver call:
 //
 //   * barrier                    (implicit in DDI collectives)
-//   * allreduce_sum              (= ddi_gsumf, the Fock reduction)
-//   * broadcast                  (density distribution)
+//   * allreduce_sum / _max       (= ddi_gsumf, the Fock reduction; the
+//                                 convergence check)
 //   * dlb_next / dlb_reset       (= ddi_dlbnext, the global DLB counter)
-//   * send/recv                  (completeness; point-to-point)
 //   * win_create/put/get/acc/fence (= ddi_create etc.: one-sided windows
 //                                 over block-distributed arrays, the DDI
 //                                 distributed-data layer; DESIGN.md s. 13)
@@ -23,7 +23,6 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -44,11 +43,10 @@ class AbortableBarrier {
   void arrive_and_wait();
   /// Wake all waiters with an error; subsequent waits also throw.
   void abort();
-  [[nodiscard]] bool aborted() const;
 
  private:
   const int nranks_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   int waiting_ = 0;
   long generation_ = 0;
@@ -103,8 +101,6 @@ class Window {
   [[nodiscard]] std::size_t rank_base(int rank) const;
   /// Elements in `rank`'s segment.
   [[nodiscard]] std::size_t rank_elems(int rank) const;
-  /// Rank whose segment holds global element `index`.
-  [[nodiscard]] int owner_of(std::size_t index) const;
 
  private:
   friend class Comm;
@@ -125,8 +121,6 @@ class Comm {
   void allreduce_sum(double* data, std::size_t n);
   /// Collective: max across ranks (convergence checks).
   double allreduce_max(double v);
-  /// Collective: copy root's data[0..n) to every rank.
-  void broadcast(double* data, std::size_t n, int root);
 
   /// Shared dynamic-load-balance counter (= ddi_dlbnext): atomically
   /// returns the next global task index, starting at 0 after dlb_reset.
@@ -138,9 +132,11 @@ class Comm {
 
   /// Collective: create (or attach to) the window named `key`, with
   /// rank r owning `rank_elems[r]` doubles (identical vector on every
-  /// rank). Each rank allocates its own zero-initialized segment, so the
-  /// bytes are charged to the owning rank in MemoryTracker. Returns after
-  /// every segment is ready for one-sided access.
+  /// rank). The first rank to arrive registers the window under `key` in
+  /// the world's window registry; the others attach to it. Each rank
+  /// allocates its own zero-initialized segment, so the bytes are charged
+  /// to the owning rank in MemoryTracker. Returns after every segment is
+  /// ready for one-sided access.
   Window win_create(const std::string& key,
                     const std::vector<std::size_t>& rank_elems);
   /// Collective: release the window. No rank may access it afterwards;
@@ -163,43 +159,14 @@ class Comm {
   /// it.
   void win_fence(const Window& w);
 
-  /// Point-to-point: copies the payload into dst's mailbox. Non-blocking.
-  void send(int dst, int tag, const double* data, std::size_t n);
-  /// Blocks until a message with `tag` from `src` arrives.
-  std::vector<double> recv(int src, int tag);
-
-  /// Shared-object blackboard (the in-process analogue of DDI's shared
-  /// memory segments): the first rank to ask for `key` constructs the
-  /// object; everyone else gets the same instance. The object must be
-  /// internally thread-safe. Lives until free_shared or job end.
-  template <typename T, typename... Args>
-  std::shared_ptr<T> get_or_create_shared(const std::string& key,
-                                          Args&&... args) {
-    std::shared_ptr<void> obj = shared_lookup(key);
-    if (!obj) {
-      obj = shared_publish(key, [&]() -> std::shared_ptr<void> {
-        return std::make_shared<T>(std::forward<Args>(args)...);
-      });
-    }
-    return std::static_pointer_cast<T>(obj);
-  }
-  /// Drop the blackboard entry (idempotent; typically called by one rank
-  /// after a barrier).
-  void free_shared(const std::string& key);
-
  private:
   friend void run_spmd(int, const std::function<void(Comm&)>&);
   Comm(int rank, detail::SharedState* st) : rank_(rank), st_(st) {}
 
   /// Barrier without the fault-injection hook: composite collectives
-  /// (allreduce, broadcast, dlb_reset) synchronize through this so an
-  /// injected `barrier` fault counts only explicit barrier() calls.
+  /// (allreduce, dlb_reset, window create/free) synchronize through this so
+  /// an injected `barrier` fault counts only explicit barrier() calls.
   void sync();
-
-  std::shared_ptr<void> shared_lookup(const std::string& key);
-  std::shared_ptr<void> shared_publish(
-      const std::string& key,
-      const std::function<std::shared_ptr<void>()>& make);
 
   int rank_;
   detail::SharedState* st_;

@@ -36,7 +36,6 @@ struct SweepConfig {
   int nthreads = 1;
   bool dynamic_schedule = true;
   bool lazy_fi_flush = true;
-  core::DistFockOptions dist;
 
   [[nodiscard]] std::string label() const {
     std::ostringstream os;
@@ -44,10 +43,6 @@ struct SweepConfig {
     if (nthreads > 1) os << ",t" << nthreads;
     if (!dynamic_schedule) os << ",static";
     if (!lazy_fi_flush) os << ",eager-fi";
-    if (alg == core::ScfAlgorithm::kDistFock) {
-      os << ",cache" << dist.max_cached_tiles << ",pf"
-         << dist.prefetch_depth << (dist.dynamic_lb ? "" : ",cyclic");
-    }
     os << "]";
     return os.str();
   }
@@ -76,14 +71,9 @@ std::vector<SweepConfig> draw_configs(core::ScfAlgorithm alg,
     cfg.nthreads = 1 + static_cast<int>(r.below(3));
     cfg.dynamic_schedule = r.chance(1, 2);
     cfg.lazy_fi_flush = r.chance(3, 4);
-    cfg.dist.prefetch_depth = static_cast<int>(r.below(4));
-    cfg.dist.dynamic_lb = r.chance(1, 2);
-    // Adversarially small tile caches included: 1-tile and 2-tile budgets
-    // force constant eviction and pinned-over-budget scatter.
-    const std::array<std::size_t, 4> caches = {0, 1, 2, 8};
-    cfg.dist.max_cached_tiles = caches[r.below(caches.size())];
-    const std::array<std::size_t, 3> panels = {0, 1, 4};
-    cfg.dist.max_open_f_tiles = panels[r.below(panels.size())];
+    // Discarded draws, once dist-fock's tuning options: they keep the
+    // stream aligned so a fixed seed replays the same configurations.
+    for (const std::uint64_t n : {4u, 2u, 4u, 3u}) (void)r.below(n);
     out.push_back(cfg);
   }
   return out;
@@ -130,8 +120,7 @@ BuildOutcome run_build(const SweepConfig& cfg, const ints::EriEngine& eri,
           break;
         }
         case core::ScfAlgorithm::kDistFock:
-          builder = std::make_unique<core::FockBuilderDist>(eri, screen, ddi,
-                                                            cfg.dist);
+          builder = std::make_unique<core::FockBuilderDist>(eri, screen, ddi);
           break;
       }
       la::Matrix g(nbf, nbf);

@@ -93,11 +93,9 @@ JobConfig draw_job(const mc::fuzz::FuzzSample& sample, std::uint64_t job_seed,
   job.scf.scf.density_tolerance = 1e-7;
   job.scf.scf.incremental_fock = r.chance(2, 3);
   job.scf.scf.use_diis = r.chance(9, 10);
-  // Adversarial dist-fock budgets ride along on every dist job.
-  const std::array<std::size_t, 4> caches = {0, 1, 2, 8};
-  job.scf.dist_options.max_cached_tiles = caches[r.below(caches.size())];
-  job.scf.dist_options.prefetch_depth = static_cast<int>(r.below(4));
-  job.scf.dist_options.dynamic_lb = r.chance(1, 2);
+  // Discarded draws, once dist-fock's tuning options: they keep the stream
+  // aligned so a fixed seed replays the same job configuration.
+  for (const std::uint64_t n : {4u, 4u, 2u}) (void)r.below(n);
 
   if (r.chance(static_cast<std::uint64_t>(fault_percent), 100)) {
     job.fault = mc::par::random_fault_plan(r.next(), job.scf.nranks);

@@ -1,10 +1,13 @@
-// Tests for the paper's three Fock-build algorithms: cross-algorithm
-// equivalence over rank x thread grids (the central correctness invariant),
-// the shared-Fock buffer machinery and its ablations, the memory model
-// (eqs. 3a-3c), and the end-to-end distributed SCF.
+// Tests for the paper's three Fock-build algorithms and the distributed
+// one: cross-algorithm equivalence over rank x thread grids (the central
+// correctness invariant), dist-fock's claim loop, tile layout and
+// per-build lifetimes, the shared-Fock buffer machinery and its
+// ablations, the memory model (eqs. 3a-3c), and the end-to-end
+// distributed SCF.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -17,6 +20,7 @@
 #include "core/memory_model.hpp"
 #include "core/parallel_scf.hpp"
 #include "fock_fixture.hpp"
+#include "par/fault_injection.hpp"
 
 namespace mc::core {
 namespace {
@@ -64,6 +68,140 @@ INSTANTIATE_TEST_SUITE_P(RankThreadGrid, AlgorithmGrid,
                                             ::testing::Values(1, 2, 4)));
 INSTANTIATE_TEST_SUITE_P(RankThreadGrid, MpiOnlyGrid,
                          ::testing::Values(1, 2, 3));
+
+// ---- Dist-fock: one configuration, over the rank axis ----
+
+class DistFockGrid : public ::testing::TestWithParam<int> {};
+
+/// Per-rank results of one dist-fock build of the fixture density.
+struct DistRankBuild {
+  la::Matrix g;
+  std::size_t pairs_claimed = 0;
+  std::size_t quartets = 0;
+  std::size_t tile_bytes_after = 0;  ///< "dist-tile-cache" left after build
+  std::size_t panel_bytes_after = 0;  ///< "dist-fock-acc" left after build
+  std::size_t window_bytes_after = 0;  ///< "ddi-window" left after build
+};
+
+std::vector<DistRankBuild> build_dist_per_rank(const Fixture& fx,
+                                               int nranks) {
+  std::vector<DistRankBuild> out(static_cast<std::size_t>(nranks));
+  par::run_spmd(nranks, [&](par::Comm& comm) {
+    par::Ddi ddi(comm);
+    FockBuilderDist builder(fx.eri, fx.screen, ddi);
+    DistRankBuild& mine = out[static_cast<std::size_t>(comm.rank())];
+    mine.g = la::Matrix(fx.bs.nbf(), fx.bs.nbf());
+    builder.build(fx.d, mine.g);
+    mine.pairs_claimed = builder.last_pairs_claimed();
+    mine.quartets = builder.last_quartets_computed();
+    const MemoryTracker& mt = MemoryTracker::instance();
+    mine.tile_bytes_after = mt.bytes(comm.rank(), "dist-tile-cache");
+    mine.panel_bytes_after = mt.bytes(comm.rank(), "dist-fock-acc");
+    mine.window_bytes_after = mt.bytes(comm.rank(), "ddi-window");
+  });
+  return out;
+}
+
+TEST_P(DistFockGrid, WindowGetFaultAbortsTheBuildOnEveryRank) {
+  // Every rank issues window gets (the closing replication at least), so a
+  // hard fault on the last rank's first get must unwind its peers from
+  // wherever they are in the epoch sequence -- claiming, fetching or
+  // fenced -- and leave the runtime usable for the next build.
+  const int nranks = GetParam();
+  Fixture fx(chem::builders::water(), "6-31G");
+  const auto make = [&](par::Ddi& ddi) {
+    return std::make_unique<FockBuilderDist>(fx.eri, fx.screen, ddi);
+  };
+  struct PlanGuard {
+    ~PlanGuard() { par::clear_fault_plan(); }
+  } guard;
+  par::set_fault_plan({nranks - 1, par::FaultOp::kWinGet, 0});
+  EXPECT_THROW((void)build_distributed(fx, nranks, make), mc::Error);
+  par::clear_fault_plan();
+  const la::Matrix g = build_distributed(fx, nranks, make);
+  EXPECT_NEAR(g.max_abs_diff(fx.g_ref), 0.0, 1e-10);
+}
+
+TEST_P(DistFockGrid, EveryRankHoldsTheSameReducedG) {
+  // The closing per-panel gets replicate the one reduced skeleton: no
+  // rank may keep a partial or differently summed copy.
+  Fixture fx(chem::builders::water(), "6-31G");
+  const std::vector<DistRankBuild> ranks = build_dist_per_rank(fx, GetParam());
+  for (std::size_t r = 1; r < ranks.size(); ++r) {
+    expect_bit_comparable(ranks[r].g, ranks[0].g, 0,
+                          "rank " + std::to_string(r) + " vs rank 0");
+  }
+}
+
+TEST_P(DistFockGrid, ClaimLoopClaimsEverySortedPairOnce) {
+  // One dlbnext per claimed pair: the ranks partition the Schwarz-sorted
+  // pair list, and with it the serial builder's quartets.
+  Fixture fx(chem::builders::water(), "6-31G");
+  std::size_t pairs = 0;
+  std::size_t quartets = 0;
+  for (const DistRankBuild& b : build_dist_per_rank(fx, GetParam())) {
+    pairs += b.pairs_claimed;
+    quartets += b.quartets;
+  }
+  EXPECT_EQ(pairs, fx.screen.sorted_pairs().size());
+  EXPECT_EQ(quartets, fx.screen.count_surviving_quartets());
+}
+
+TEST_P(DistFockGrid, BuildReleasesItsTilesPanelsAndWindows) {
+  // Fetched density tiles and open F panels live for one build, like the
+  // D and F windows: nothing tracked stays behind on any rank.
+  Fixture fx(chem::builders::water(), "6-31G");
+  for (const DistRankBuild& b : build_dist_per_rank(fx, GetParam())) {
+    EXPECT_EQ(b.tile_bytes_after, 0u);
+    EXPECT_EQ(b.panel_bytes_after, 0u);
+    EXPECT_EQ(b.window_bytes_after, 0u);
+  }
+}
+
+TEST_P(DistFockGrid, TileLayoutIsShellAlignedAndCyclic) {
+  // Tiles close at the first shell boundary at or past max(max shell
+  // size, nbf / (4 nranks)) rows, go to ranks cyclically, and sit back to
+  // back in their owner's window segment.
+  const int nranks = GetParam();
+  for (const char* basis : {"STO-3G", "6-31G", "6-31G(d)"}) {
+    const basis::BasisSet bs =
+        basis::BasisSet::build(chem::builders::benzene(), basis);
+    const TileLayout lay = TileLayout::build(bs, nranks);
+    const std::size_t target = std::max<std::size_t>(
+        static_cast<std::size_t>(bs.max_shell_size()),
+        bs.nbf() / (4 * static_cast<std::size_t>(nranks)));
+    ASSERT_EQ(lay.tile_row0.front(), 0u) << basis;
+    ASSERT_EQ(lay.tile_row0.back(), bs.nbf()) << basis;
+    ASSERT_EQ(lay.tile_shell0.back(), bs.nshells()) << basis;
+    std::vector<std::size_t> next_offset(static_cast<std::size_t>(nranks),
+                                         0);
+    for (std::size_t r = 1; r < next_offset.size(); ++r) {
+      next_offset[r] = next_offset[r - 1] + lay.rank_elems[r - 1];
+    }
+    for (std::size_t t = 0; t < lay.ntiles; ++t) {
+      const std::string what = std::string(basis) + " tile " +
+                               std::to_string(t);
+      EXPECT_EQ(lay.tile_row0[t], bs.shell(lay.tile_shell0[t]).first_bf)
+          << what;
+      if (t + 1 < lay.ntiles) {
+        EXPECT_GE(lay.tile_rows(t), target) << what;
+      }
+      for (std::size_t s = lay.tile_shell0[t]; s < lay.tile_shell0[t + 1];
+           ++s) {
+        EXPECT_EQ(lay.shell_tile[s], t) << what;
+      }
+      EXPECT_EQ(lay.owner[t], static_cast<int>(t) % nranks) << what;
+      const auto owner = static_cast<std::size_t>(lay.owner[t]);
+      EXPECT_EQ(lay.tile_offset[t], next_offset[owner]) << what;
+      next_offset[owner] += lay.tile_elems(t);
+    }
+    std::size_t total = 0;
+    for (const std::size_t e : lay.rank_elems) total += e;
+    EXPECT_EQ(total, bs.nbf() * bs.nbf()) << basis;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, DistFockGrid, ::testing::Values(1, 2, 3, 4));
 
 TEST(AlgorithmEquivalence, DShellSystemAllThreeAgree) {
   // 6-31G(d) methane exercises d-function quartets through every code path.

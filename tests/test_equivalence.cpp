@@ -69,21 +69,8 @@ la::Matrix build(const FockFixture& fx, Alg alg, int nranks, int nthreads,
             return std::make_unique<FockBuilderShared>(fx.eri, fx.screen,
                                                        ddi, opt);
           }
-          case Alg::kDist: {
-            // Reuse the sweep dimensions: `dynamic_schedule` selects DLB vs
-            // the static cyclic pair split, and `lazy_fi_flush` pressure-
-            // tests the tile/panel budgets (evictions + early acc-flushes
-            // must not change a single summed term).
-            DistFockOptions opt;
-            opt.dynamic_lb = dynamic_schedule;
-            if (lazy_fi_flush) {
-              opt.tile_rows = 3;
-              opt.max_cached_tiles = 2;
-              opt.max_open_f_tiles = 2;
-            }
-            return std::make_unique<FockBuilderDist>(fx.eri, fx.screen, ddi,
-                                                     opt);
-          }
+          case Alg::kDist:
+            return std::make_unique<FockBuilderDist>(fx.eri, fx.screen, ddi);
         }
         throw mc::Error("unreachable");
       });
@@ -94,7 +81,8 @@ la::Matrix build(const FockFixture& fx, Alg alg, int nranks, int nthreads,
 using SweepParam = std::tuple<Alg, int, int, bool, bool>;
 
 // The full grid minus the points whose dimension an algorithm lacks.
-// MPI-only has no thread/schedule/flush dimensions: keep exactly one
+// MPI-only and dist-fock have no thread/schedule/flush dimensions (one
+// thread per rank, the DLB counter, no FI buffer): keep exactly one
 // representative per rank count so the sweep has no duplicate work.
 std::vector<SweepParam> applicable_sweep_points() {
   std::vector<SweepParam> out;
@@ -104,9 +92,9 @@ std::vector<SweepParam> applicable_sweep_points() {
         for (bool dyn : {false, true}) {
           for (bool lazy : {false, true}) {
             const bool redundant =
-                (alg == Alg::kMpi && (nthreads != 1 || dyn || lazy)) ||
-                (alg == Alg::kPrivate && lazy) ||  // no FI buffer to flush
-                (alg == Alg::kDist && nthreads != 1);  // one thread per rank
+                ((alg == Alg::kMpi || alg == Alg::kDist) &&
+                 (nthreads != 1 || dyn || lazy)) ||
+                (alg == Alg::kPrivate && lazy);  // no FI buffer to flush
             if (!redundant) out.emplace_back(alg, nranks, nthreads, dyn, lazy);
           }
         }
@@ -168,18 +156,13 @@ TEST(EquivalenceExact, SharedFockSingleThreadIsRunToRunDeterministic) {
 }
 
 TEST(EquivalenceExact, SingleRankDistIsBitIdenticalToSerial) {
-  // One rank, dynamic LB: the DLB counter walks the serial builder's
-  // Schwarz-sorted pair list in order, every density row is a local tile,
-  // and each F element is accumulated in one panel then acc'd once -- the
-  // same additions in the same order, so the result must match bit for
-  // bit. This also holds with tight budgets: evictions refetch identical
-  // tile bytes and an early acc-flush only splits a sum that is later
-  // completed by the same +=.
+  // One rank: the DLB counter walks the serial builder's Schwarz-sorted
+  // pair list in order, every density row is a local tile, and each F
+  // element is accumulated in one panel then acc'd once -- the same
+  // additions in the same order, so the result must match bit for bit.
   const FockFixture& fx = water_631g();
-  const la::Matrix g = build(fx, Alg::kDist, 1, 1, true, false);
+  const la::Matrix g = build(fx, Alg::kDist, 1, 1, false, false);
   expect_bit_comparable(g, fx.g_ref, 0, "dist r=1 exact");
-  const la::Matrix g_tight = build(fx, Alg::kDist, 1, 1, true, true);
-  expect_bit_comparable(g_tight, fx.g_ref, 0, "dist r=1 tight budgets");
 }
 
 // ---- Larger systems: d shells and richer screening structure ----

@@ -1,5 +1,5 @@
 // Fault-injection tests for the minimpi abort protocol: a rank made to
-// throw inside any collective (or in recv, or during thread spawn) must
+// throw inside any collective, one-sided window op or thread spawn must
 // never hang a peer that is already blocked in a different call, and
 // run_spmd must rethrow the first error after every rank has unwound.
 // Every test in this file doubles as a no-deadlock check -- the tsan ctest
@@ -12,7 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "chem/builders.hpp"
 #include "common/error.hpp"
+#include "core/parallel_scf.hpp"
 #include "par/fault_injection.hpp"
 #include "par/runtime.hpp"
 
@@ -61,60 +63,9 @@ TEST_F(FaultInjectionTest, AllreduceMaxFaultDoesNotHangPeers) {
   });
 }
 
-TEST_F(FaultInjectionTest, BroadcastFaultDoesNotHangPeers) {
-  set_fault_plan({1, FaultOp::kBroadcast, 0});
-  expect_fault_rethrown(4, [](Comm& comm) {
-    std::vector<double> buf(16, comm.rank() == 0 ? 42.0 : 0.0);
-    comm.broadcast(buf.data(), buf.size(), 0);
-  });
-}
-
 TEST_F(FaultInjectionTest, DlbResetFaultDoesNotHangPeers) {
   set_fault_plan({3, FaultOp::kDlbReset, 0});
   expect_fault_rethrown(4, [](Comm& comm) { comm.dlb_reset(); });
-}
-
-// ---- Point-to-point: blocked recv must observe the abort ----
-
-TEST_F(FaultInjectionTest, RecvBlockedOnDeadSenderIsWoken) {
-  // Rank 0 blocks in recv for a message rank 1 will never send, because
-  // rank 1 faults at its barrier. The abort must wake rank 0's mailbox
-  // wait -- with the old 50ms polling loop this "worked" by accident; with
-  // the predicate wait it works by construction.
-  set_fault_plan({1, FaultOp::kBarrier, 0});
-  expect_fault_rethrown(2, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      (void)comm.recv(1, /*tag=*/99);
-    } else {
-      // mc-lint: allow(MC-COLL-001): divergence is the scenario under test
-      comm.barrier();  // faults here; never reaches send
-    }
-  });
-}
-
-TEST_F(FaultInjectionTest, RecvFaultUnblocksPeersInCollective) {
-  set_fault_plan({1, FaultOp::kRecv, 0});
-  expect_fault_rethrown(4, [](Comm& comm) {
-    if (comm.rank() == 1) {
-      (void)comm.recv(0, /*tag=*/7);  // faults at entry
-    } else {
-      std::vector<double> buf(8, 1.0);
-      // mc-lint: allow(MC-COLL-001): divergence is the scenario under test
-      comm.allreduce_sum(buf.data(), buf.size());  // must not hang
-    }
-  });
-}
-
-TEST_F(FaultInjectionTest, SendFaultLeavesReceiverUnblocked) {
-  set_fault_plan({1, FaultOp::kSend, 0});
-  expect_fault_rethrown(2, [](Comm& comm) {
-    if (comm.rank() == 1) {
-      const double v = 3.0;
-      comm.send(0, /*tag=*/5, &v, 1);  // faults before the push
-    } else {
-      (void)comm.recv(1, /*tag=*/5);  // message never arrives; abort wakes
-    }
-  });
 }
 
 // ---- One-sided window ops: faults and abort propagation ----
@@ -245,6 +196,32 @@ TEST_F(FaultInjectionTest, SpawnFailureJoinsStartedRanksAndReleasesJob) {
   EXPECT_EQ(ran.load(), 2);
 }
 
+// ---- Every injectable op is a verb the SCF calls ----
+
+TEST_F(FaultInjectionTest, EveryInjectableOpIsReachedByADistScf) {
+  // minimpi keeps only the verbs a builder or driver calls, so a hard
+  // fault on any of them must surface from a dist-fock SCF. One rank, so
+  // that rank 0 issues every verb: at two ranks DLB timing decides whether
+  // a given rank opens any F panel, and so whether it ever calls acc.
+  const chem::Molecule mol = chem::builders::water();
+  core::ParallelScfConfig cfg;
+  cfg.algorithm = core::ScfAlgorithm::kDistFock;
+  cfg.basis = "STO-3G";
+  for (const FaultOp op : injectable_fault_ops()) {
+    if (op == FaultOp::kSpawn) continue;  // run_spmd's launch, not a verb
+    set_fault_plan({0, op, 0});
+    try {
+      (void)core::run_parallel_scf(mol, cfg);
+      ADD_FAILURE() << fault_op_name(op) << " was never reached";
+    } catch (const mc::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    std::string("failing at ") + fault_op_name(op)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // ---- Plan management and the environment form ----
 
 TEST_F(FaultInjectionTest, ClearRestoresNormalOperation) {
@@ -269,13 +246,10 @@ TEST_F(FaultInjectionTest, PlanIsReArmedOnEachInstall) {
 }
 
 TEST_F(FaultInjectionTest, OpNamesRoundTrip) {
-  for (FaultOp op :
-       {FaultOp::kSpawn, FaultOp::kBarrier, FaultOp::kAllreduceSum,
-        FaultOp::kAllreduceMax, FaultOp::kBroadcast, FaultOp::kDlbReset,
-        FaultOp::kSend, FaultOp::kRecv, FaultOp::kWinPut, FaultOp::kWinGet,
-        FaultOp::kWinAcc, FaultOp::kWinFence}) {
+  for (FaultOp op : injectable_fault_ops()) {
     EXPECT_EQ(fault_op_from_name(fault_op_name(op)), op);
   }
+  EXPECT_EQ(fault_op_from_name("none"), FaultOp::kNone);
   EXPECT_THROW((void)fault_op_from_name("no-such-op"), mc::Error);
 }
 

@@ -1,9 +1,8 @@
 // Unit tests for the fuzz subsystem (DESIGN.md section 14): generator
 // determinism, the mixed-basis builder, the ULP separation check's power
 // to catch injected protocol bugs, the empty-screening / empty-primitive
-// regression guards the generator's corners demand, the dist-fock LRU
-// cache under adversarial budgets, and window key reuse across
-// consecutive SPMD fuzz jobs.
+// regression guards the generator's corners demand, and window key reuse
+// across consecutive SPMD fuzz jobs.
 
 #include <gtest/gtest.h>
 
@@ -220,40 +219,9 @@ TEST(FuzzRegression, AllPrimitivesPrescreenedStillYieldsZeros) {
   EXPECT_GT(std::abs(batch.result(2)[0]), 0.1);  // (ss|ss) on-site
 }
 
-TEST(DistFockCache, CapacityOneWithZeroHeadroomPinningStaysExact) {
-  // Adversarial LRU budget: one resident tile, but every batch scatter
-  // pins up to three tiles at once, so the cache *must* run over budget
-  // while pins are live (evict_lru refuses to evict pinned tiles) and
-  // shrink back after. Correctness must be unaffected: same ULP contract
-  // as the roomy-cache runs.
-  core::FockFixture fx(chem::builders::water(), "6-31G");
-  for (std::size_t cache : {std::size_t{1}, std::size_t{2}}) {
-    core::DistFockOptions opt;
-    opt.tile_rows = 1;  // shell-boundary tiles: maximal tile count
-    opt.max_cached_tiles = cache;
-    opt.max_open_f_tiles = 1;
-    opt.prefetch_depth = 2;
-    la::Matrix g = core::build_distributed(fx, 3, [&](par::Ddi& ddi) {
-      return std::make_unique<core::FockBuilderDist>(fx.eri, fx.screen, ddi,
-                                                     opt);
-    });
-    core::expect_bit_comparable(
-        g, fx.g_ref, core::kMaxSkeletonUlps,
-        "dist-fock full, cache=" + std::to_string(cache));
-
-    la::Matrix gd = core::build_distributed_delta(fx, 3, [&](par::Ddi& ddi) {
-      return std::make_unique<core::FockBuilderDist>(fx.eri, fx.screen, ddi,
-                                                     opt);
-    });
-    core::expect_bit_comparable(
-        gd, fx.g_ref_delta, core::kMaxSkeletonUlps,
-        "dist-fock delta, cache=" + std::to_string(cache));
-  }
-}
-
 TEST(WindowReuse, SameKeyAcrossConsecutiveSpmdJobsGetsFreshStorage) {
   // Consecutive fuzz/soak jobs run run_spmd back to back and the dist
-  // builder keys its windows by fixed blackboard strings ("fock-dist:D"),
+  // builder keys its windows by fixed registry strings ("fock-dist:D"),
   // so stale segments surviving a job boundary would corrupt the next
   // job. Two jobs of *different* rank counts reuse one key: the second
   // must see fresh zeroed storage sized for its own layout.

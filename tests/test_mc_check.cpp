@@ -398,9 +398,8 @@ TEST(McCheckBuilders, PrivateFockBenzeneHasZeroViolations) {
 
 TEST(McCheckBuilders, DistFockBenzeneHasZeroViolations) {
   // The dist builder's F panels are written through OwnedSlice with one
-  // ledger region per open panel; a panel flushed early and reopened gets
-  // a fresh region, so a write routed to a stale (already-acc'd) panel
-  // would trap as out-of-region. Budgets force that reopen path.
+  // ledger region per open panel, so a write routed outside the panel it
+  // names would trap as out-of-region.
   if (!check::core_hooks_compiled()) {
     GTEST_SKIP() << "library built without -DMC_CHECK=ON";
   }
@@ -408,11 +407,7 @@ TEST(McCheckBuilders, DistFockBenzeneHasZeroViolations) {
   check::Registry::instance().reset();
   FockFixture fx(chem::builders::benzene(), "STO-3G");
   la::Matrix g = build_distributed(fx, 2, [&](par::Ddi& ddi) {
-    DistFockOptions opt;
-    opt.tile_rows = 4;
-    opt.max_cached_tiles = 3;
-    opt.max_open_f_tiles = 3;
-    return std::make_unique<FockBuilderDist>(fx.eri, fx.screen, ddi, opt);
+    return std::make_unique<FockBuilderDist>(fx.eri, fx.screen, ddi);
   });
   EXPECT_NEAR(g.max_abs_diff(fx.g_ref), 0.0, 1e-10);
   EXPECT_EQ(check::Registry::instance().count(), 0u)

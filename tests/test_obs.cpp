@@ -392,17 +392,53 @@ TEST(ObsCounters, DistThreadSumMatchesScreeningPrediction) {
 }
 
 TEST(ObsCounters, DistCountersInvariantUnderRankCount) {
-  // The DLB counter and the static cyclic split share one claim loop;
-  // neither may change what is counted.
   const FockFixture& fx = fixture();
-  for (const bool dynamic_lb : {true, false}) {
-    expect_rank_invariant(
-        dynamic_lb ? "dist-fock dlb" : "dist-fock cyclic", [&](par::Ddi& ddi) {
-          DistFockOptions opt;
-          opt.dynamic_lb = dynamic_lb;
-          return std::make_unique<FockBuilderDist>(fx.eri, fx.screen, ddi,
-                                                   opt);
-        });
+  expect_rank_invariant("dist-fock", [&](par::Ddi& ddi) {
+    return std::make_unique<FockBuilderDist>(fx.eri, fx.screen, ddi);
+  });
+}
+
+TEST(ObsCounters, DistReadsThreeTilesPerQuartetAndFetchesEachTileOnce) {
+  // The scatter reads the density rows of shells i, j and k of every
+  // quartet, and nothing else requests a tile: rank-summed tile reads are
+  // exactly 3 x the quartets computed. A tile is fetched on its first
+  // request and kept for the build, so a rank misses at most once per
+  // tile. In a delta build the zero shortcut serves some of the reads.
+  const FockFixture& fx = fixture();
+  for (const int nranks : {1, 2, 3, 4}) {
+    const std::size_t ntiles = TileLayout::build(fx.bs, nranks).ntiles;
+    for (const bool delta : {false, true}) {
+      std::size_t quartets = 0;
+      std::size_t reads = 0;
+      std::size_t zero_hits = 0;
+      std::mutex mu;
+      par::run_spmd(nranks, [&](par::Comm& comm) {
+        par::Ddi ddi(comm);
+        FockBuilderDist builder(fx.eri, fx.screen, ddi);
+        la::Matrix g(fx.bs.nbf(), fx.bs.nbf());
+        if (delta) {
+          builder.build(fx.d_delta, g, fx.delta_ctx);
+        } else {
+          builder.build(fx.d, g);
+        }
+        std::lock_guard<std::mutex> lk(mu);
+        quartets += builder.last_quartets_computed();
+        reads += builder.last_tile_cache_hits() +
+                 builder.last_tile_cache_misses();
+        zero_hits += builder.last_zero_tile_hits();
+        EXPECT_LE(builder.last_tile_cache_misses(), ntiles)
+            << nranks << " ranks, rank " << comm.rank();
+      });
+      const std::string what = std::to_string(nranks) +
+                               (delta ? " ranks, delta" : " ranks, full");
+      EXPECT_GT(quartets, 0u) << what;
+      if (delta) {
+        EXPECT_EQ(reads + zero_hits, 3 * quartets) << what;
+      } else {
+        EXPECT_EQ(zero_hits, 0u) << what;
+        EXPECT_EQ(reads, 3 * quartets) << what;
+      }
+    }
   }
 }
 

@@ -59,23 +59,12 @@ TEST(TsanProtocol, SharedFockTwoRanksFourThreads) {
 
 TEST(TsanProtocol, DistFockWindowsThreeRanks) {
   // The one-sided window layer: concurrent put/get into disjoint segments,
-  // striped-lock acc from every rank into every segment, and the fence
-  // epochs separating them. Tight budgets force evictions and early
-  // acc-flushes so the LRU paths run under TSan too; both load-balance
-  // modes are driven because the static path skips the DLB counter.
-  for (bool dyn : {true, false}) {
-    la::Matrix g = build_distributed(fx(), 3, [&](par::Ddi& ddi) {
-      DistFockOptions opt;
-      opt.dynamic_lb = dyn;
-      opt.tile_rows = 3;
-      opt.max_cached_tiles = 2;
-      opt.max_open_f_tiles = 2;
-      return std::make_unique<FockBuilderDist>(fx().eri, fx().screen, ddi,
-                                               opt);
-    });
-    expect_bit_comparable(g, fx().g_ref, kMaxSkeletonUlps,
-                          dyn ? "dist dlb r=3" : "dist static r=3");
-  }
+  // striped-lock acc from every rank into every segment, the fence epochs
+  // separating them, and the DLB counter the claim loop shares.
+  la::Matrix g = build_distributed(fx(), 3, [&](par::Ddi& ddi) {
+    return std::make_unique<FockBuilderDist>(fx().eri, fx().screen, ddi);
+  });
+  expect_bit_comparable(g, fx().g_ref, kMaxSkeletonUlps, "dist r=3");
 }
 
 TEST(TsanProtocol, WeightedDeltaBuildsAcrossAllThreeBuilders) {
@@ -105,10 +94,7 @@ TEST(TsanProtocol, WeightedDeltaBuildsAcrossAllThreeBuilders) {
   expect_bit_comparable(g_sh, fx().g_ref_delta, kMaxSkeletonUlps,
                         "shared weighted delta");
   la::Matrix g_dist = build_distributed_delta(fx(), 2, [&](par::Ddi& ddi) {
-    DistFockOptions opt;
-    opt.tile_rows = 3;
-    return std::make_unique<FockBuilderDist>(fx().eri, fx().screen, ddi,
-                                             opt);
+    return std::make_unique<FockBuilderDist>(fx().eri, fx().screen, ddi);
   });
   expect_bit_comparable(g_dist, fx().g_ref_delta, kMaxSkeletonUlps,
                         "dist weighted delta");
