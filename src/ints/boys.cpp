@@ -131,47 +131,39 @@ void boys_batch(int mmax, std::size_t n, const double* t, double* fm) {
     return;
   }
 
-  // Pass 1: per-element top-order seed and exp(-T); the (rare, usually
-  // Schwarz-screened) asymptotic elements are finished here and excluded
-  // from the recursion by a negative emt marker (true emt is positive).
+  // Pass 1: per-element top-order seed and exp(-T). Asymptotic elements
+  // are seeded 0 with a zero exp(-T), so the recursion below carries
+  // exact zeros through their columns, and their indices are kept.
   thread_local std::vector<double> emt_buf;
+  thread_local std::vector<std::size_t> asym;
   if (emt_buf.size() < n) emt_buf.resize(n);
   double* emt = emt_buf.data();
-  bool any_asym = false;
+  asym.clear();
   for (std::size_t e = 0; e < n; ++e) {
     MC_CHECK(t[e] >= 0.0, "boys argument must be non-negative");
     if (t[e] >= kBoysTableTmax) {
-      boys_asymptotic(mmax, t[e], fm + e, n);
-      emt[e] = -1.0;
-      any_asym = true;
+      fm[static_cast<std::size_t>(mmax) * n + e] = 0.0;
+      emt[e] = 0.0;
+      asym.push_back(e);
     } else {
       fm[static_cast<std::size_t>(mmax) * n + e] = boys_seed(mmax, t[e]);
       emt[e] = std::exp(-t[e]);
     }
   }
 
-  // Pass 2: downward recursion, arithmetic identical to boys(). The
-  // common all-table case runs branch-free with a unit-stride inner loop
-  // over the batch -- the SIMD axis.
-  if (!any_asym) {
-    for (int m = mmax; m > 0; --m) {
-      double* lo = fm + static_cast<std::size_t>(m - 1) * n;
-      const double* hi = fm + static_cast<std::size_t>(m) * n;
+  // Pass 2: downward recursion over the whole batch, arithmetic identical
+  // to boys(): branch-free, unit-stride over the batch -- the SIMD axis.
+  for (int m = mmax; m > 0; --m) {
+    double* lo = fm + static_cast<std::size_t>(m - 1) * n;
+    const double* hi = fm + static_cast<std::size_t>(m) * n;
 #pragma omp simd
-      for (std::size_t e = 0; e < n; ++e) {
-        lo[e] = (2.0 * t[e] * hi[e] + emt[e]) / (2 * m - 1);
-      }
-    }
-    return;
-  }
-  for (std::size_t e = 0; e < n; ++e) {
-    if (emt[e] < 0.0) continue;  // asymptotic element, already complete
-    for (int m = mmax; m > 0; --m) {
-      fm[static_cast<std::size_t>(m - 1) * n + e] =
-          (2.0 * t[e] * fm[static_cast<std::size_t>(m) * n + e] + emt[e]) /
-          (2 * m - 1);
+    for (std::size_t e = 0; e < n; ++e) {
+      lo[e] = (2.0 * t[e] * hi[e] + emt[e]) / (2 * m - 1);
     }
   }
+
+  // Pass 3: the asymptotic columns, overwritten by boys()'s upward path.
+  for (const std::size_t e : asym) boys_asymptotic(mmax, t[e], fm + e, n);
 }
 
 double boys_single(int m, double t) {

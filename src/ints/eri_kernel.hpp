@@ -17,14 +17,17 @@
 // combined R cube. Because the cube index is linear,
 //   offset(t+tau, u+nu, v+phi) = offset_bra(t,u,v) + offset_ket(tau,nu,phi),
 // so the Hermite Coulomb tensor of one primitive quartet gathers into a
-// dense [ket-tri][bra-tri] matrix in one pass, and both the ket
-// accumulation (G += w * R-row) and the bra contraction (out += Hb . G)
-// become unit-stride inner loops over the bra triangle -- the SIMD axis
-// within one primitive quartet, complementing the Boys batch axis across
-// quartets. Iteration orders match the pre-restructure kernel exactly
-// (tau,nu,phi and t,u,v ascending), so results are bitwise unchanged;
-// eri_quartet_kernel_ref below preserves the original nested-loop form
-// and test_ints pins new == ref at 0 ULP.
+// dense [ket-tri][bra-tri] matrix in one pass, and the ket accumulation
+// (G += w * R-row) becomes a unit-stride inner loop over the bra triangle
+// -- the SIMD axis within one primitive quartet, complementing the Boys
+// batch axis across quartets. Both sides walk only the nonzero entries of
+// their Hermite rows (PrimPairData::hrows): the ket with the entry's
+// pre-signed weight, the bra as a sparse dot product against G. Iteration
+// orders match the pre-restructure kernel exactly (tau,nu,phi and t,u,v
+// ascending), and a skipped term is an exact zero, which leaves a
+// round-to-nearest sum started at +0 unchanged, so results are bitwise
+// unchanged; eri_quartet_kernel_ref below preserves the original
+// nested-loop form and test_ints pins new == ref at 0 ULP.
 //
 // Not part of the public ints API; include from src/ints only.
 
@@ -34,6 +37,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/constants.hpp"
@@ -162,12 +166,10 @@ inline constexpr int kMaxSideL = 16;
 
 /// Per-(L, ltot) side table: one side's Hermite triangle
 /// {(t,u,v) : t+u+v <= L} enumerated lexicographically, with each entry's
-/// linear offset into the combined R cube of dimension d = ltot + 1 and
-/// the (-1)^(t+u+v) ket parity.
+/// linear offset into the combined R cube of dimension d = ltot + 1.
 struct ClassTab {
   int n = 0;                     ///< triangle size: hermite_tri_size(L)
   std::vector<int> r_off;        ///< [(t*d + u)*d + v]
-  std::vector<std::uint8_t> neg; ///< (t + u + v) & 1
 };
 
 /// Lazily-built read-only store of every side table (thread-safe magic
@@ -183,13 +185,10 @@ inline const ClassTab& class_tab(int l, int ltot) {
         const int d = lt + 1;
         tab.n = hermite_tri_size(l2);
         tab.r_off.reserve(static_cast<std::size_t>(tab.n));
-        tab.neg.reserve(static_cast<std::size_t>(tab.n));
         for (int tt = 0; tt <= l2; ++tt) {
           for (int u = 0; u <= l2 - tt; ++u) {
             for (int v = 0; v <= l2 - tt - u; ++v) {
               tab.r_off.push_back((tt * d + u) * d + v);
-              tab.neg.push_back(
-                  static_cast<std::uint8_t>((tt + u + v) & 1));
             }
           }
         }
@@ -203,14 +202,13 @@ inline const ClassTab& class_tab(int l, int ltot) {
 }
 
 /// Compile-time variant of ClassTab for the constant-L kernel
-/// instantiations: same enumeration, same values, but the offsets and
-/// parities are constexpr so the unrolled loops see immediates (and the
-/// hot path skips the class_tab magic-static guard).
+/// instantiations: same enumeration, same values, but the offsets are
+/// constexpr so the unrolled loops see immediates (and the hot path skips
+/// the class_tab magic-static guard).
 template <int L, int LTOT>
 struct StaticClassTab {
   static constexpr int kN = hermite_tri_size(L);
   int off[static_cast<std::size_t>(kN)] = {};
-  std::uint8_t neg[static_cast<std::size_t>(kN)] = {};
   constexpr StaticClassTab() {
     int i = 0;
     constexpr int d = LTOT + 1;
@@ -218,8 +216,6 @@ struct StaticClassTab {
       for (int u = 0; u <= L - t; ++u) {
         for (int v = 0; v <= L - t - u; ++v) {
           off[static_cast<std::size_t>(i)] = (t * d + u) * d + v;
-          neg[static_cast<std::size_t>(i)] =
-              static_cast<std::uint8_t>((t + u + v) & 1);
           ++i;
         }
       }
@@ -263,17 +259,12 @@ void eri_quartet_kernel_impl(const ShellPairData& bra,
                          : class_tab(lk, ltot).n;
   const int* bra_off;
   const int* ket_off;
-  const std::uint8_t* ket_neg;
   if constexpr (kStatic) {
     bra_off = kStaticClassTab<LB, LB + LK>.off;
     ket_off = kStaticClassTab<LK, LB + LK>.off;
-    ket_neg = kStaticClassTab<LK, LB + LK>.neg;
   } else {
-    const ClassTab& tb = class_tab(lb, ltot);
-    const ClassTab& tk = class_tab(lk, ltot);
-    bra_off = tb.r_off.data();
-    ket_off = tk.r_off.data();
-    ket_neg = tk.neg.data();
+    bra_off = class_tab(lb, ltot).r_off.data();
+    ket_off = class_tab(lk, ltot).r_off.data();
   }
 
   // G[cd][p] over the compact bra triangle, reused across primitives.
@@ -314,18 +305,16 @@ void eri_quartet_kernel_impl(const ShellPairData& bra,
         }
       }
 
-      // Ket accumulation: G[cd][:] += w * R-row, unit stride over the bra
-      // triangle. Same (tau,nu,phi) term order and the same products
-      // w * R as the reference kernel -- bitwise identical G.
+      // Ket accumulation: G[cd][:] += w * R-row over the row's nonzero
+      // entries, unit stride over the bra triangle. Same (tau,nu,phi) term
+      // order and the same products w * R as the reference kernel (which
+      // skips the zero entries too; the pre-signed h_ket is its parity
+      // select, negation being exact) -- bitwise identical G.
       for (int cd = 0; cd < ncomp_cd; ++cd) {
-        const double* hk = kp.hermite_tri.data() +
-                           static_cast<std::size_t>(cd) * nq;
         double* gc = g + static_cast<std::size_t>(cd) * nb;
-        for (int q = 0; q < nq; ++q) {
-          const double hval = hk[q];
-          if (hval == 0.0) continue;
-          const double w = pg.pref * (ket_neg[q] ? -hval : hval);
-          const double* rrow = rmat + static_cast<std::size_t>(q) * nb;
+        for (const HermiteTerm& e : kp.hrow(cd)) {
+          const double w = pg.pref * e.h_ket;
+          const double* rrow = rmat + static_cast<std::size_t>(e.p) * nb;
 #pragma omp simd
           for (int p = 0; p < nb; ++p) {
             gc[p] += w * rrow[p];
@@ -334,17 +323,19 @@ void eri_quartet_kernel_impl(const ShellPairData& bra,
       }
     }
 
-    // Bra contraction against compact G: sequential p-order dot products,
-    // summation order identical to the reference kernel's (t,u,v) walk.
+    // Bra contraction against compact G: sparse dot products over the
+    // row's nonzero entries in ascending p, the reference kernel's (t,u,v)
+    // order. Its skipped terms are 0 * G = +-0, and a sum started at +0
+    // never reaches -0 in round-to-nearest, so x + (+-0) = x every time:
+    // dropping them leaves s bit for bit.
     for (int ab = 0; ab < ncomp_ab; ++ab) {
-      const double* hb = bp.hermite_tri.data() +
-                         static_cast<std::size_t>(ab) * nb;
+      const std::span<const HermiteTerm> hb = bp.hrow(ab);
       double* orow = out + static_cast<std::size_t>(ab) * ncomp_cd;
       for (int cd = 0; cd < ncomp_cd; ++cd) {
         const double* gc = g + static_cast<std::size_t>(cd) * nb;
         double s = 0.0;
-        for (int p = 0; p < nb; ++p) {
-          s += hb[p] * gc[p];
+        for (const HermiteTerm& e : hb) {
+          s += e.h * gc[e.p];
         }
         orow[cd] += s;
       }
@@ -384,8 +375,9 @@ void eri_quartet_kernel(const ShellPairData& bra, const ShellPairData& ket,
 
   if (lb + lk == 0) {
     // Term order and product association match the general body
-    // ((pref * hval) then * F_0; hb * g; += into out[0]) -- bitwise
-    // identical, just without building an R table.
+    // ((pref * h_ket) then * F_0; h * g; += into out[0]) -- bitwise
+    // identical, just without building an R table. Each row is the single
+    // point (0,0,0): one entry, or none if the coefficient is zero.
     PrimGeom pg;
     FmView fv;
     out[0] = 0.0;
@@ -393,11 +385,11 @@ void eri_quartet_kernel(const ShellPairData& bra, const ShellPairData& ket,
       double g0 = 0.0;
       for (const PrimPairData& kp : ket.prims) {
         if (!src.next(bp, kp, pg, fv)) continue;
-        const double hval = kp.hermite_tri[0];
-        if (hval == 0.0) continue;
-        g0 += (pg.pref * hval) * fv.fm[0];
+        for (const HermiteTerm& e : kp.hrow(0)) {
+          g0 += (pg.pref * e.h_ket) * fv.fm[0];
+        }
       }
-      out[0] += bp.hermite_tri[0] * g0;
+      for (const HermiteTerm& e : bp.hrow(0)) out[0] += e.h * g0;
     }
     return;
   }

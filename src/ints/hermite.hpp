@@ -6,7 +6,9 @@
 // Reference: McMurchie & Davidson, J. Comput. Phys. 26, 218 (1978); see also
 // Helgaker/Jorgensen/Olsen "Molecular Electronic-Structure Theory" ch. 9.
 
+#include <array>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -35,58 +37,124 @@ class ETable {
   std::vector<double> data_;
 };
 
-/// Downward auxiliary-index recursion for the Hermite Coulomb tensor,
-/// shared by RTable (runtime order, member buffers) and FixedRTable
-/// (compile-time order LTOT, stack buffers). `seeds[n]` must hold
-/// (-2 alpha)^n F_n, n = 0..ltot. Level n of the recursion lives in `even`
-/// (n even) or `odd` (n odd), both (ltot+1)^3 cubes: level n reads only
-/// level n+1 (the other buffer), and by the time it overwrites level n+2's
-/// cells they are dead. Level 0 -- the result -- therefore lands in `even`
-/// with no final copy.
+/// One step of the downward auxiliary-index recursion for the Hermite
+/// Coulomb tensor. A seed step (axis < 0) writes R_{000}^{(level)} =
+/// seeds[level] into cell 0 of its level's buffer. Every other step writes
+/// one cell of level `level` (lo) from level `level + 1` (hi):
+///   lo[dst] = pq[axis] * hi[src1];  lo[dst] += coef * hi[src2] if coef > 0.
+/// Cells are linear offsets into an (ltot+1)^3 cube.
+struct HermiteRStep {
+  int level = 0;
+  int axis = -1;  ///< 0, 1, 2 = x, y, z; -1 = seed step
+  int coef = 0;   ///< t - 1 (or u - 1, v - 1)
+  int dst = 0;
+  int src1 = 0;
+  int src2 = 0;
+};
+
+/// The recursion's steps in execution order, passed one by one to `step`.
+/// This one enumeration drives both forms: hermite_r_recursion executes it
+/// as loops at run time, and FixedRTable records it at compile time and
+/// executes it straight-line, so the two write the same cells in the same
+/// order with the same products.
+///
+/// Level n of the recursion lives in `even` (n even) or `odd` (n odd),
+/// both (ltot+1)^3 cubes: level n reads only level n+1 (the other buffer),
+/// and by the time it overwrites level n+2's cells they are dead. Level 0
+/// -- the result -- therefore lands in `even` with no final copy.
 ///
 /// Recursions (Helgaker et al. eq. 9.9.18-20):
 ///   R_{t+1,u,v}^{(n)} = t R_{t-1,u,v}^{(n+1)} + X_PQ R_{t,u,v}^{(n+1)}
 /// and cyclic for u, v. Only the t+u+v <= ltot - n triangle of each level
 /// is written, and only the t+u+v <= ltot - n - 1 triangle of the level
 /// above is read; cells outside the level-0 triangle are left untouched.
-/// With LTOT >= 0 the loop bounds are constants (the runtime argument is
-/// ignored), so the ERI kernel's constant-class instantiations unroll it;
-/// the cell order and arithmetic are the same either way.
-template <int LTOT = -1>
-inline void hermite_r_recursion(int ltot_rt, const double* pq,
-                                const double* seeds, double* even,
-                                double* odd) {
-  const int ltot = LTOT >= 0 ? LTOT : ltot_rt;
+template <typename StepFn>
+constexpr void hermite_r_steps(int ltot, StepFn&& step) {
   const int d = ltot + 1;
-  auto idx = [d](int t, int u, int v) {
-    return static_cast<std::size_t>((t * d + u) * d + v);
-  };
+  auto idx = [d](int t, int u, int v) { return (t * d + u) * d + v; };
   for (int n = ltot; n >= 0; --n) {
-    double* lo = (n % 2 == 0) ? even : odd;
-    lo[idx(0, 0, 0)] = seeds[n];
+    step(HermiteRStep{n, -1, 0, 0, 0, 0});
     if (n == ltot) continue;
-    const double* hi = (n % 2 == 0) ? odd : even;
     const int lmax = ltot - n;
     for (int t = 0; t <= lmax; ++t) {
       for (int u = 0; u + t <= lmax; ++u) {
         for (int v = 0; v + u + t <= lmax; ++v) {
           if (t + u + v == 0) continue;
-          double val;
           if (t > 0) {
-            val = pq[0] * hi[idx(t - 1, u, v)];
-            if (t > 1) val += (t - 1) * hi[idx(t - 2, u, v)];
+            step(HermiteRStep{n, 0, t - 1, idx(t, u, v), idx(t - 1, u, v),
+                              t > 1 ? idx(t - 2, u, v) : 0});
           } else if (u > 0) {
-            val = pq[1] * hi[idx(t, u - 1, v)];
-            if (u > 1) val += (u - 1) * hi[idx(t, u - 2, v)];
+            step(HermiteRStep{n, 1, u - 1, idx(t, u, v), idx(t, u - 1, v),
+                              u > 1 ? idx(t, u - 2, v) : 0});
           } else {
-            val = pq[2] * hi[idx(t, u, v - 1)];
-            if (v > 1) val += (v - 1) * hi[idx(t, u, v - 2)];
+            step(HermiteRStep{n, 2, v - 1, idx(t, u, v), idx(t, u, v - 1),
+                              v > 1 ? idx(t, u, v - 2) : 0});
           }
-          lo[idx(t, u, v)] = val;
         }
       }
     }
   }
+}
+
+/// Loop form of the recursion, for an order known only at run time (RTable:
+/// f shells and up, one-electron V, the reference ERI kernel). `seeds[n]`
+/// must hold (-2 alpha)^n F_n, n = 0..ltot. Each level opens with its
+/// seed step, which is where the level's buffers are picked.
+inline void hermite_r_recursion(int ltot, const double* pq,
+                                const double* seeds, double* even,
+                                double* odd) {
+  double* lo = even;
+  const double* hi = odd;
+  hermite_r_steps(ltot, [&](const HermiteRStep& s) {
+    if (s.axis < 0) {
+      lo = (s.level % 2 == 0) ? even : odd;
+      hi = (s.level % 2 == 0) ? odd : even;
+      lo[0] = seeds[s.level];
+      return;
+    }
+    double val = pq[s.axis] * hi[s.src1];
+    if (s.coef > 0) val += s.coef * hi[s.src2];
+    lo[s.dst] = val;
+  });
+}
+
+/// The order-LTOT step list, recorded at compile time.
+template <int LTOT>
+inline constexpr auto kHermiteRSteps = [] {
+  constexpr int kCount = [] {
+    int n = 0;
+    hermite_r_steps(LTOT, [&n](const HermiteRStep&) { ++n; });
+    return n;
+  }();
+  std::array<HermiteRStep, static_cast<std::size_t>(kCount)> steps{};
+  std::size_t i = 0;
+  hermite_r_steps(LTOT, [&](const HermiteRStep& s) { steps[i++] = s; });
+  return steps;
+}();
+
+/// One recorded step with every field an immediate.
+template <HermiteRStep S>
+inline void hermite_r_step(const double* pq, const double* seeds,
+                           double* even, double* odd) {
+  double* lo = (S.level % 2 == 0) ? even : odd;
+  if constexpr (S.axis < 0) {
+    lo[0] = seeds[S.level];
+  } else {
+    const double* hi = (S.level % 2 == 0) ? odd : even;
+    double val = pq[S.axis] * hi[S.src1];
+    if constexpr (S.coef > 0) val += S.coef * hi[S.src2];
+    lo[S.dst] = val;
+  }
+}
+
+/// Straight-line form: the order-LTOT step list as a fold over an index
+/// sequence (no recursion-depth limit), so no cell index, bound or branch
+/// is evaluated at run time.
+template <int LTOT, std::size_t... I>
+inline void hermite_r_unrolled(const double* pq, const double* seeds,
+                               double* even, double* odd,
+                               std::index_sequence<I...> /*steps*/) {
+  (hermite_r_step<kHermiteRSteps<LTOT>[I]>(pq, seeds, even, odd), ...);
 }
 
 /// Recursion seeds R_{000}^{(n)} = (-2 alpha)^n F_n for n = 0..ltot, from
@@ -160,9 +228,10 @@ inline void RTable::build_from(int ltot, double alpha, const double* pq,
 
 /// RTable for a compile-time order: both recursion levels in fixed-size
 /// member arrays (stack storage when the table is a local), no size checks,
-/// constant cube dimension. Same recursion and arithmetic as
-/// RTable::build_from, so in-triangle values match it bitwise; cells
-/// outside the t+u+v <= LTOT triangle are never written.
+/// constant cube dimension, and the recursion run straight-line from the
+/// compile-time step list. Same steps as RTable::build_from, so
+/// in-triangle values match it bitwise; cells outside the t+u+v <= LTOT
+/// triangle are never written.
 template <int LTOT>
 class FixedRTable {
  public:
@@ -172,7 +241,9 @@ class FixedRTable {
                   std::size_t fm_stride) {
     double seeds[LTOT + 1];
     hermite_r_seeds(LTOT, alpha, fm, fm_stride, seeds);
-    hermite_r_recursion<LTOT>(LTOT, pq, seeds, even_, odd_);
+    hermite_r_unrolled<LTOT>(
+        pq, seeds, even_, odd_,
+        std::make_index_sequence<kHermiteRSteps<LTOT>.size()>{});
   }
   [[nodiscard]] const double* data() const { return even_; }
 

@@ -127,6 +127,9 @@ la::Matrix kinetic_matrix(const basis::BasisSet& bs) {
 
 la::Matrix nuclear_attraction_matrix(const basis::BasisSet& bs,
                                      const chem::Molecule& mol) {
+  // One R table for the whole matrix: build() reuses its storage, so the
+  // (primitive pair, atom) loop allocates nothing.
+  RTable r;
   return build_one_electron(bs, [&](const basis::Shell& sh1,
                                     const basis::Shell& sh2, double* block) {
     const auto c1 = basis::shell_components(sh1);
@@ -152,7 +155,7 @@ la::Matrix nuclear_attraction_matrix(const basis::BasisSet& bs,
         for (const chem::Atom& atom : mol.atoms()) {
           const double pc[3] = {P[0] - atom.xyz[0], P[1] - atom.xyz[1],
                                 P[2] - atom.xyz[2]};
-          const RTable r(ltot, p, pc);
+          r.build(ltot, p, pc);
           for (std::size_t f1 = 0; f1 < c1.size(); ++f1) {
             const auto [ix, iy, iz] = c1[f1].ijk;
             for (std::size_t f2 = 0; f2 < c2.size(); ++f2) {

@@ -78,26 +78,36 @@ ShellPairData make_shell_pair(const basis::Shell& sh1,
           }
         }
       }
+      // Every nonzero of `hermite` lies in the triangle, so this count
+      // sizes the nonzero rows' one allocation.
+      std::size_t nnz = 0;
       for (const double h : pp.hermite) {
         pp.hmax = std::max(pp.hmax, std::abs(h));
+        nnz += h != 0.0;
       }
-      // Compact triangle copy (bitwise: values are copied, not
+      // Nonzero rows of the compact triangle (values copied, not
       // recomputed), in the kernel's lexicographic (t, u, v) order.
       const int lsum = sh1.l + sh2.l;
-      pp.hermite_tri.resize(static_cast<std::size_t>(sp.ncomp()) *
-                            static_cast<std::size_t>(hermite_tri_size(lsum)));
-      double* tri = pp.hermite_tri.data();
-      for (int c = 0; c < sp.ncomp(); ++c) {
-        const double* h = pp.hermite.data() +
-                          static_cast<std::size_t>(c) * herm;
+      const int ncomp = sp.ncomp();
+      pp.hrows.resize(static_cast<std::size_t>(ncomp) + 1 + nnz);
+      HermiteTerm* row = pp.hrows.data();
+      int next = ncomp + 1;
+      for (int c = 0; c < ncomp; ++c) {
+        row[c].p = next;
+        const double* h =
+            pp.hermite.data() + static_cast<std::size_t>(c) * herm;
+        int p = 0;
         for (int t = 0; t <= lsum; ++t) {
           for (int u = 0; u <= lsum - t; ++u) {
-            for (int v = 0; v <= lsum - t - u; ++v) {
-              *tri++ = h[(t * hd + u) * hd + v];
+            for (int v = 0; v <= lsum - t - u; ++v, ++p) {
+              const double hv = h[(t * hd + u) * hd + v];
+              if (hv == 0.0) continue;
+              row[next++] = {hv, ((t + u + v) & 1) ? -hv : hv, p};
             }
           }
         }
       }
+      row[ncomp].p = next;
       sp.prims.push_back(std::move(pp));
     }
   }

@@ -14,11 +14,19 @@
 
 #include <array>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "basis/basis_set.hpp"
 
 namespace mc::ints {
+
+/// One nonzero entry of a component's compact Hermite row.
+struct HermiteTerm {
+  double h = 0.0;      ///< the coefficient
+  double h_ket = 0.0;  ///< (-1)^(t+u+v) h: the ket side's signed weight
+  int p = 0;           ///< index of (t, u, v) in the compact triangle
+};
 
 struct PrimPairData {
   double a = 0.0;                ///< bra exponent
@@ -33,15 +41,27 @@ struct PrimPairData {
   /// the ERI kernel's primitive-level prescreen.
   double hmax = 0.0;
   /// Hermite product coefficients, layout [comp][t*hd*hd + u*hd + v] with
-  /// hd = l1 + l2 + 1 and comp = a_comp * n2 + b_comp.
+  /// hd = l1 + l2 + 1 and comp = a_comp * n2 + b_comp. `hmax` and `hrows`
+  /// are taken from it; after that only the reference ERI kernel reads it.
   std::vector<double> hermite;
-  /// The same coefficients compacted to the t+u+v <= l1+l2 triangle,
-  /// layout [comp][p] with p enumerating (t, u, v) lexicographically
-  /// (hermite_tri_size(l1+l2) entries per component). Every entry of
-  /// `hermite` outside the triangle is exactly zero, so this carries the
-  /// full information; the ERI kernel contracts against it with
-  /// unit-stride inner loops (DESIGN.md section 12.7).
-  std::vector<double> hermite_tri;
+  /// The nonzero entries of every component's row of `hermite`, compacted
+  /// to the t+u+v <= l1+l2 triangle (p enumerates (t, u, v)
+  /// lexicographically; hermite_tri_size(l1+l2) positions), in one
+  /// allocation. Slots 0..ncomp hold in `p` where each component's entries
+  /// start (slot ncomp: where the last one ends); the entries follow, each
+  /// row in ascending p. Everything else in `hermite` is exactly zero: the
+  /// cells outside the triangle, every E_t^{ij} with i + j - t odd on an
+  /// axis where the two centers share a coordinate, an SP pair's lower-l
+  /// components past their own range. The ERI kernel walks only these
+  /// entries (DESIGN.md section 12.7).
+  std::vector<HermiteTerm> hrows;
+
+  /// Component `comp`'s nonzero entries, ascending in p.
+  [[nodiscard]] std::span<const HermiteTerm> hrow(int comp) const {
+    const auto c = static_cast<std::size_t>(comp);
+    const HermiteTerm* base = hrows.data();
+    return {base + hrows[c].p, base + hrows[c + 1].p};
+  }
 };
 
 /// Number of Hermite triangle entries {(t,u,v) : t+u+v <= l}: C(l+3, 3).

@@ -163,7 +163,10 @@ ScfResult run_rhf(const chem::Molecule& mol, const basis::BasisSet& bs,
     const double t_fock = fock_timer.seconds();
     res.fock_build_seconds += t_fock;
 
-    la::Matrix f = h;
+    // F = H + G under its own category: the extrapolated F, DIIS's stored
+    // Focks and the result's F are copies of it, not of the core
+    // Hamiltonian.
+    la::Matrix f(h, "scf_fock");
     f += g_acc;
 
     // Electronic energy: E = 1/2 sum_ab D_ab (H_ab + F_ab).

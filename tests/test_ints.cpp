@@ -3,12 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <span>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -104,6 +107,148 @@ TEST(Hermite, RTableTopElementIsBoys) {
   const double r2 = pq[0] * pq[0] + pq[1] * pq[1] + pq[2] * pq[2];
   RTable r(4, alpha, pq);
   EXPECT_NEAR(r(0, 0, 0), boys_single(0, alpha * r2), 1e-13);
+}
+
+/// FixedRTable<L> (straight-line steps) against RTable::build_from (loop
+/// form) on the same Boys values; true when the level-0 triangles agree
+/// bit for bit.
+template <int L>
+bool unrolled_matches_loop(double alpha, const double* pq) {
+  const double r2 = pq[0] * pq[0] + pq[1] * pq[1] + pq[2] * pq[2];
+  double fm[kMaxBoysOrder + 1];
+  boys(L, alpha * r2, fm);
+  FixedRTable<L> fixed;
+  fixed.build_from(alpha, pq, fm, 1);
+  RTable loop;
+  loop.build_from(L, alpha, pq, fm, 1);
+  constexpr int d = L + 1;
+  bool same = true;
+  for (int t = 0; t <= L; ++t) {
+    for (int u = 0; u <= L - t; ++u) {
+      for (int v = 0; v <= L - t - u; ++v) {
+        const double a = fixed.data()[(t * d + u) * d + v];
+        same = same && std::bit_cast<std::uint64_t>(a) ==
+                           std::bit_cast<std::uint64_t>(loop(t, u, v));
+      }
+    }
+  }
+  return same;
+}
+
+TEST(Hermite, UnrolledRecursionMatchesLoopForm) {
+  // The constant-order R table runs the recursion's steps straight-line;
+  // it must write what the loop form writes, to the bit, for every order
+  // a constant ERI class uses (L = 0..8), with the Boys argument on both
+  // sides of the table/asymptotic switch.
+  std::uint64_t s = 0x452821e638d01377ull;
+  auto uniform = [&s] {
+    s = s * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<double>(s >> 11) / 9007199254740992.0;
+  };
+  int below = 0, above = 0;
+  for (int trial = 0; trial < 64; ++trial) {
+    const double alpha = 0.05 + 20.0 * uniform();
+    const double pq[3] = {6.0 * uniform() - 3.0, 6.0 * uniform() - 3.0,
+                          6.0 * uniform() - 3.0};
+    const double tval =
+        alpha * (pq[0] * pq[0] + pq[1] * pq[1] + pq[2] * pq[2]);
+    (tval < kBoysTableTmax ? below : above) += 1;
+    const auto same = [&]<int... L>(std::integer_sequence<int, L...>) {
+      return std::array<bool, sizeof...(L)>{
+          unrolled_matches_loop<L>(alpha, pq)...};
+    }(std::make_integer_sequence<int, 9>{});
+    for (std::size_t l = 0; l < same.size(); ++l) {
+      EXPECT_TRUE(same[l]) << "L=" << l << " alpha=" << alpha
+                           << " T=" << tval;
+    }
+  }
+  EXPECT_GT(below, 0);
+  EXPECT_GT(above, 0);
+}
+
+// ---- Shell-pair data ----
+
+/// Every component's nonzero rows hold exactly the nonzero entries of its
+/// dense Hermite row inside the t+u+v <= l1+l2 triangle, in ascending
+/// triangle order, with the ket weight (-1)^(t+u+v) h; the dense row is
+/// zero outside the triangle.
+void expect_rows_reproduce_triangle(const ShellPairData& sp) {
+  const int lsum = sp.lsum();
+  const int hd = sp.hd;
+  for (std::size_t k = 0; k < sp.prims.size(); ++k) {
+    const PrimPairData& pp = sp.prims[k];
+    ASSERT_EQ(pp.hrows.size() - static_cast<std::size_t>(sp.ncomp()) - 1,
+              static_cast<std::size_t>(std::count_if(
+                  pp.hermite.begin(), pp.hermite.end(),
+                  [](double h) { return h != 0.0; })));
+    for (int c = 0; c < sp.ncomp(); ++c) {
+      const double* h = pp.hermite.data() +
+                        static_cast<std::size_t>(c) * sp.herm_size();
+      for (int t = 0; t < hd; ++t) {
+        for (int u = 0; u < hd; ++u) {
+          for (int v = lsum - t - u + 1; v < hd; ++v) {
+            if (v >= 0) {
+              EXPECT_EQ(h[(t * hd + u) * hd + v], 0.0);
+            }
+          }
+        }
+      }
+      std::vector<HermiteTerm> want;
+      int p = 0;
+      for (int t = 0; t <= lsum; ++t) {
+        for (int u = 0; u <= lsum - t; ++u) {
+          for (int v = 0; v <= lsum - t - u; ++v, ++p) {
+            const double val = h[(t * hd + u) * hd + v];
+            if (val == 0.0) continue;
+            want.push_back({val, ((t + u + v) & 1) ? -val : val, p});
+          }
+        }
+      }
+      const std::span<const HermiteTerm> got = pp.hrow(c);
+      ASSERT_EQ(got.size(), want.size())
+          << "pair (" << sp.s1 << ", " << sp.s2 << ") prim " << k
+          << " comp " << c;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].p, want[i].p);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].h),
+                  std::bit_cast<std::uint64_t>(want[i].h));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].h_ket),
+                  std::bit_cast<std::uint64_t>(want[i].h_ket));
+        if (i > 0) {
+          EXPECT_LT(got[i - 1].p, got[i].p);
+        }
+      }
+    }
+  }
+}
+
+TEST(ShellPair, NonzeroRowsReproduceTheTriangle) {
+  // C2/6-31G(d) has s, fused SP and d shells on two centers on one axis
+  // (exact zeros from symmetry and from SP components past their range);
+  // pentane/STO-3G has many fused SP pairs at general geometry.
+  chem::Molecule c2;
+  c2.add_atom(6, 0.0, 0.0, 0.0);
+  c2.add_atom(6, 0.0, 0.0, 2.68);
+  std::size_t sparse = 0, total = 0;
+  for (const auto& [mol, basis] :
+       {std::pair{c2, std::string("6-31G(d)")},
+        std::pair{chem::builders::alkane(5), std::string("STO-3G")}}) {
+    const auto bs = basis::BasisSet::build(mol, basis);
+    const ShellPairList pairs(bs);
+    for (std::size_t s1 = 0; s1 < bs.nshells(); ++s1) {
+      for (std::size_t s2 = 0; s2 <= s1; ++s2) {
+        const ShellPairData& sp = pairs.pair(s1, s2);
+        expect_rows_reproduce_triangle(sp);
+        for (const PrimPairData& pp : sp.prims) {
+          sparse += pp.hrows.size() - static_cast<std::size_t>(sp.ncomp()) - 1;
+          total += static_cast<std::size_t>(sp.ncomp()) *
+                   static_cast<std::size_t>(hermite_tri_size(sp.lsum()));
+        }
+      }
+    }
+  }
+  // The rows are sparse: most triangle entries are exact zeros.
+  EXPECT_LT(2 * sparse, total);
 }
 
 // ---- One-electron integrals ----
@@ -529,23 +674,29 @@ TEST(Boys, BatchMatchesScalarBitwiseAllTable) {
 }
 
 TEST(Boys, BatchMatchesScalarBitwiseMixedAsymptotic) {
-  // Arguments straddling kBoysTableTmax: exercises the per-element
-  // fallback that skips completed asymptotic elements. Still exact.
+  // Arguments straddling kBoysTableTmax: the batch runs its recursion
+  // over every column and then overwrites the asymptotic ones. Every third
+  // element, and then a random quarter, lands past the switch, at every
+  // recursion depth the ERI classes use. Still exact.
   Lcg rng{0x13198a2e03707344ull};
-  const int mmax = 12;
-  const std::size_t n = 64;
-  std::vector<double> t(n), fm(static_cast<std::size_t>(mmax + 1) * n);
-  for (std::size_t e = 0; e < n; ++e) {
-    t[e] = (e % 3 == 0) ? kBoysTableTmax + rng.uniform() * 200.0
-                        : rng.uniform() * kBoysTableTmax;
-  }
-  boys_batch(mmax, n, t.data(), fm.data());
-  for (std::size_t e = 0; e < n; ++e) {
-    double ref[kMaxBoysOrder + 1];
-    boys(mmax, t[e], ref);
-    for (int m = 0; m <= mmax; ++m) {
-      EXPECT_EQ(fm[static_cast<std::size_t>(m) * n + e], ref[m])
-          << "m=" << m << " T=" << t[e];
+  for (int mmax : {1, 2, 4, 8, 12}) {
+    for (const bool every_third : {true, false}) {
+      const std::size_t n = 64;
+      std::vector<double> t(n), fm(static_cast<std::size_t>(mmax + 1) * n);
+      for (std::size_t e = 0; e < n; ++e) {
+        const bool asym = every_third ? e % 3 == 0 : rng.uniform() < 0.25;
+        t[e] = asym ? kBoysTableTmax + rng.uniform() * 200.0
+                    : rng.uniform() * kBoysTableTmax;
+      }
+      boys_batch(mmax, n, t.data(), fm.data());
+      for (std::size_t e = 0; e < n; ++e) {
+        double ref[kMaxBoysOrder + 1];
+        boys(mmax, t[e], ref);
+        for (int m = 0; m <= mmax; ++m) {
+          EXPECT_EQ(fm[static_cast<std::size_t>(m) * n + e], ref[m])
+              << "mmax=" << mmax << " m=" << m << " T=" << t[e];
+        }
+      }
     }
   }
 }

@@ -13,6 +13,7 @@
 #include "basis/basis_set.hpp"
 #include "chem/builders.hpp"
 #include "common/error.hpp"
+#include "common/memory_tracker.hpp"
 #include "ints/eri.hpp"
 #include "ints/one_electron.hpp"
 #include "ints/screening.hpp"
@@ -181,6 +182,31 @@ TEST(Scf, CallbackSeesEveryIteration) {
   SerialFockBuilder builder(eri, screen);
   ScfResult r = run_scf(mol, bs, builder, {}, cb);
   EXPECT_EQ(count, r.iterations);
+}
+
+TEST(Scf, FockCopiesAreNotChargedToHcore) {
+  // The core Hamiltonian is one tracked nbf^2 matrix. F = H + G, the
+  // extrapolated F, DIIS's stored Focks and the result's F have their own
+  // category; copying H used to charge every one of them to hcore.
+  auto mol = chem::builders::water();
+  auto bs = basis::BasisSet::build(mol, "STO-3G");
+  ints::EriEngine eri(bs);
+  ints::Screening screen(eri, 1e-12);
+  SerialFockBuilder builder(eri, screen);
+  const std::size_t nbf2_bytes = bs.nbf() * bs.nbf() * sizeof(double);
+  const int rank = MemoryTracker::current_rank();
+  int iterations = 0;
+  ScfCallbacks cb;
+  cb.on_iteration = [&](const ScfIterationInfo&) {
+    ++iterations;
+    EXPECT_EQ(MemoryTracker::instance().bytes(rank, "hcore"), nbf2_bytes)
+        << "iteration " << iterations;
+    EXPECT_GE(MemoryTracker::instance().bytes(rank, "scf_fock"), nbf2_bytes)
+        << "iteration " << iterations;
+  };
+  const ScfResult r = run_scf(mol, bs, builder, {}, cb);
+  EXPECT_TRUE(r.converged);
+  EXPECT_GT(iterations, 2);
 }
 
 TEST(Scf, DampingConvergesToSameEnergy) {
