@@ -97,4 +97,18 @@ std::size_t BasisSet::shell_of_bf(std::size_t bf) const {
   return lo;
 }
 
+BasisSet BasisSet::atom_block(std::size_t atom) const {
+  BasisSet block;
+  block.name_ = name_;
+  for (const Shell& sh : shells_) {
+    if (sh.atom != static_cast<int>(atom)) continue;
+    Shell copy = sh;
+    copy.atom = 0;
+    copy.first_bf = block.nbf_;
+    block.nbf_ += static_cast<std::size_t>(copy.nfunc());
+    block.shells_.push_back(std::move(copy));
+  }
+  return block;
+}
+
 }  // namespace mc::basis

@@ -49,6 +49,14 @@ class BasisSet {
   /// Index of the shell containing basis function `bf`.
   [[nodiscard]] std::size_t shell_of_bf(std::size_t bf) const;
 
+  /// The shells of atom `atom` as a basis of their own: copies of this
+  /// basis's shells (so a build_mixed basis keeps each atom's own set),
+  /// renumbered from function 0 and owned by atom 0, the one atom of a
+  /// single-atom molecule. build() and build_mixed() lay shells out atom
+  /// by atom, so atom a's functions are the contiguous range after those
+  /// of atoms 0..a-1.
+  [[nodiscard]] BasisSet atom_block(std::size_t atom) const;
+
  private:
   std::vector<Shell> shells_;
   std::size_t nbf_ = 0;

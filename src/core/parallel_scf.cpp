@@ -1,5 +1,7 @@
 #include "core/parallel_scf.hpp"
 
+#include <omp.h>
+
 #include <algorithm>
 #include <memory>
 #include <mutex>
@@ -53,6 +55,13 @@ std::unique_ptr<scf::FockBuilder> make_builder(
   }
   MC_CHECK(false, "unknown algorithm");
   return nullptr;
+}
+
+/// OpenMP threads the algorithm's builder runs on each rank.
+int rank_threads(const ParallelScfConfig& cfg) {
+  const bool team = cfg.algorithm == ScfAlgorithm::kPrivateFock ||
+                    cfg.algorithm == ScfAlgorithm::kSharedFock;
+  return team ? cfg.nthreads : 1;
 }
 
 /// The RHF core's lockstep over one SPMD team: the counter sum is a
@@ -138,6 +147,11 @@ ParallelScfResult run_parallel_scf(const chem::Molecule& mol,
   WallTimer wall;
 
   par::run_spmd(config.nranks, [&](par::Comm& comm) {
+    // The rank's setup runs on the threads its builder runs on: an OpenMP
+    // region without its own num_threads clause (the Screening's Schwarz
+    // sweep) would otherwise fork a default team of one thread per CPU on
+    // every rank. The setting dies with the rank thread.
+    omp_set_num_threads(rank_threads(config));
     par::Ddi ddi(comm);
     const int rank = comm.rank();
 

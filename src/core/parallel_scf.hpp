@@ -54,9 +54,9 @@ struct ParallelScfContext {
   std::shared_ptr<const basis::BasisSet> basis_set;
   std::shared_ptr<const ints::EriEngine> eri;
   std::shared_ptr<const ints::Screening> screening;
-  /// Warm-start seed: replaces the core-Hamiltonian guess as the
-  /// iteration-1 density on every rank (all ranks read the same matrix, so
-  /// the lockstep invariant holds trivially).
+  /// Warm-start seed: replaces the atomic start as the iteration-1
+  /// density on every rank (all ranks read the same matrix, so the
+  /// lockstep invariant holds trivially).
   std::shared_ptr<const la::Matrix> seed_density;
   /// True when this job owns the process-global trackers: the classic
   /// one-shot mode resets MemoryTracker before running. The job server

@@ -423,7 +423,8 @@ void eri_quartet_kernel(const ShellPairData& bra, const ShellPairData& ket,
 }
 
 /// Reference kernel: the original nested-loop form over the full Hermite
-/// cubes, kept verbatim as the oracle for the restructured kernel above
+/// cubes (expanded from the nonzero rows by hermite_cube, which is
+/// exact), kept verbatim as the oracle for the restructured kernel above
 /// (test_ints pins eri_quartet_kernel == eri_quartet_kernel_ref at 0 ULP
 /// per element). Not used by any production path.
 template <typename BoysSource>
@@ -450,17 +451,24 @@ void eri_quartet_kernel_ref(const ShellPairData& bra,
   if (g_scratch.size() < gsize) g_scratch.resize(gsize);
   double* g = g_scratch.data();
 
+  std::vector<std::vector<double>> ket_cubes;
+  ket_cubes.reserve(ket.prims.size());
+  for (const PrimPairData& kp : ket.prims) {
+    ket_cubes.push_back(hermite_cube(ket, kp));
+  }
+
   for (const PrimPairData& bp : bra.prims) {
     std::fill_n(g, gsize, 0.0);
 
-    for (const PrimPairData& kp : ket.prims) {
+    for (std::size_t k = 0; k < ket.prims.size(); ++k) {
+      const PrimPairData& kp = ket.prims[k];
       const PrimGeom pg = prim_geom(bp, kp);
       if (prim_skipped(bp, kp, pg.pref)) continue;
       const FmView fv = boys_src(pg);
       r.build_from(ltot, pg.alpha, pg.pq, fv.fm, fv.stride);
 
       for (int cd = 0; cd < ncomp_cd; ++cd) {
-        const double* hk = kp.hermite.data() +
+        const double* hk = ket_cubes[k].data() +
                            static_cast<std::size_t>(cd) * herm_cd;
         double* gc = g + static_cast<std::size_t>(cd) * herm_ab;
         for (int tau = 0; tau <= lk; ++tau) {
@@ -489,9 +497,10 @@ void eri_quartet_kernel_ref(const ShellPairData& bra,
 
     // Contract the bra Hermite coefficients against G, triangle-bounded:
     // hb entries with t+u+v > lb are exactly zero by construction.
+    const std::vector<double> bra_cube = hermite_cube(bra, bp);
     for (int ab = 0; ab < ncomp_ab; ++ab) {
       const double* hb =
-          bp.hermite.data() + static_cast<std::size_t>(ab) * herm_ab;
+          bra_cube.data() + static_cast<std::size_t>(ab) * herm_ab;
       double* orow = out + static_cast<std::size_t>(ab) * ncomp_cd;
       for (int cd = 0; cd < ncomp_cd; ++cd) {
         const double* gc = g + static_cast<std::size_t>(cd) * herm_ab;

@@ -27,6 +27,9 @@ ShellPairData make_shell_pair(const basis::Shell& sh1,
 
   const std::size_t herm = sp.herm_size();
   const int hd = sp.hd;
+  // One primitive pair's dense coefficients, the scratch its nonzero rows
+  // are compacted from; the pair data keeps only the rows.
+  std::vector<double> cube(static_cast<std::size_t>(sp.ncomp()) * herm);
 
   for (std::size_t pa = 0; pa < sh1.exps.size(); ++pa) {
     for (std::size_t pb = 0; pb < sh2.exps.size(); ++pb) {
@@ -55,15 +58,14 @@ ShellPairData make_shell_pair(const basis::Shell& sh1,
       const ETable ey(sh1.l, sh2.l, a, b, aby);
       const ETable ez(sh1.l, sh2.l, a, b, abz);
 
-      pp.hermite.assign(static_cast<std::size_t>(sp.ncomp()) * herm, 0.0);
+      std::fill(cube.begin(), cube.end(), 0.0);
       for (std::size_t c1 = 0; c1 < comps1.size(); ++c1) {
         const auto [ix, iy, iz] = comps1[c1].ijk;
         for (std::size_t c2 = 0; c2 < comps2.size(); ++c2) {
           const auto [jx, jy, jz] = comps2[c2].ijk;
           const double cf = (comps1[c1].coefs[pa] * comps2[c2].coefs[pb]) *
                             comps1[c1].norm * comps2[c2].norm;
-          double* h =
-              pp.hermite.data() + (c1 * comps2.size() + c2) * herm;
+          double* h = cube.data() + (c1 * comps2.size() + c2) * herm;
           for (int t = 0; t <= ix + jx; ++t) {
             const double ext = ex(ix, jx, t);
             if (ext == 0.0) continue;
@@ -78,13 +80,10 @@ ShellPairData make_shell_pair(const basis::Shell& sh1,
           }
         }
       }
-      // Every nonzero of `hermite` lies in the triangle, so this count
+      // Every nonzero of the cube lies in the triangle, so this count
       // sizes the nonzero rows' one allocation.
       std::size_t nnz = 0;
-      for (const double h : pp.hermite) {
-        pp.hmax = std::max(pp.hmax, std::abs(h));
-        nnz += h != 0.0;
-      }
+      for (const double h : cube) nnz += h != 0.0;
       // Nonzero rows of the compact triangle (values copied, not
       // recomputed), in the kernel's lexicographic (t, u, v) order.
       const int lsum = sh1.l + sh2.l;
@@ -94,8 +93,7 @@ ShellPairData make_shell_pair(const basis::Shell& sh1,
       int next = ncomp + 1;
       for (int c = 0; c < ncomp; ++c) {
         row[c].p = next;
-        const double* h =
-            pp.hermite.data() + static_cast<std::size_t>(c) * herm;
+        const double* h = cube.data() + static_cast<std::size_t>(c) * herm;
         int p = 0;
         for (int t = 0; t <= lsum; ++t) {
           for (int u = 0; u <= lsum - t; ++u) {
@@ -103,6 +101,7 @@ ShellPairData make_shell_pair(const basis::Shell& sh1,
               const double hv = h[(t * hd + u) * hd + v];
               if (hv == 0.0) continue;
               row[next++] = {hv, ((t + u + v) & 1) ? -hv : hv, p};
+              pp.hmax = std::max(pp.hmax, std::abs(hv));
             }
           }
         }
@@ -112,6 +111,31 @@ ShellPairData make_shell_pair(const basis::Shell& sh1,
     }
   }
   return sp;
+}
+
+std::vector<double> hermite_cube(const ShellPairData& sp,
+                                 const PrimPairData& pp) {
+  // Cube offset of each triangle position p, in the rows' (t, u, v) order.
+  const int lsum = sp.lsum();
+  const int hd = sp.hd;
+  std::vector<std::size_t> cell;
+  cell.reserve(static_cast<std::size_t>(hermite_tri_size(lsum)));
+  for (int t = 0; t <= lsum; ++t) {
+    for (int u = 0; u <= lsum - t; ++u) {
+      for (int v = 0; v <= lsum - t - u; ++v) {
+        cell.push_back(static_cast<std::size_t>((t * hd + u) * hd + v));
+      }
+    }
+  }
+  const std::size_t herm = sp.herm_size();
+  std::vector<double> cube(static_cast<std::size_t>(sp.ncomp()) * herm, 0.0);
+  for (int c = 0; c < sp.ncomp(); ++c) {
+    double* h = cube.data() + static_cast<std::size_t>(c) * herm;
+    for (const HermiteTerm& e : pp.hrow(c)) {
+      h[cell[static_cast<std::size_t>(e.p)]] = e.h;
+    }
+  }
+  return cube;
 }
 
 ShellPairList::ShellPairList(const basis::BasisSet& bs, double prim_cutoff) {

@@ -34,26 +34,23 @@ struct PrimPairData {
   double p = 0.0;                ///< a + b
   /// c_a * c_b of the shells' `coefs` (normalized). For a pair with a
   /// fused SP shell that is the s part's product only; the coefficient of
-  /// every component pair is folded into its `hermite` row.
+  /// every component pair is folded into its Hermite row.
   double coef = 0.0;
   std::array<double, 3> P{};     ///< Gaussian product center
-  /// max |hermite| -- the primitive pair's combined Hermite weight, used by
-  /// the ERI kernel's primitive-level prescreen.
+  /// max |h| over `hrows` -- the primitive pair's combined Hermite weight,
+  /// used by the ERI kernel's primitive-level prescreen.
   double hmax = 0.0;
-  /// Hermite product coefficients, layout [comp][t*hd*hd + u*hd + v] with
-  /// hd = l1 + l2 + 1 and comp = a_comp * n2 + b_comp. `hmax` and `hrows`
-  /// are taken from it; after that only the reference ERI kernel reads it.
-  std::vector<double> hermite;
-  /// The nonzero entries of every component's row of `hermite`, compacted
-  /// to the t+u+v <= l1+l2 triangle (p enumerates (t, u, v)
-  /// lexicographically; hermite_tri_size(l1+l2) positions), in one
-  /// allocation. Slots 0..ncomp hold in `p` where each component's entries
-  /// start (slot ncomp: where the last one ends); the entries follow, each
-  /// row in ascending p. Everything else in `hermite` is exactly zero: the
-  /// cells outside the triangle, every E_t^{ij} with i + j - t odd on an
-  /// axis where the two centers share a coordinate, an SP pair's lower-l
-  /// components past their own range. The ERI kernel walks only these
-  /// entries (DESIGN.md section 12.7).
+  /// The nonzero Hermite product coefficients of every component
+  /// comp = a_comp * n2 + b_comp, on the t+u+v <= l1+l2 triangle (p
+  /// enumerates (t, u, v) lexicographically; hermite_tri_size(l1+l2)
+  /// positions), in one allocation. Slots 0..ncomp hold in `p` where each
+  /// component's entries start (slot ncomp: where the last one ends); the
+  /// entries follow, each row in ascending p. Every coefficient left out
+  /// is exactly zero: the cells outside the triangle, every E_t^{ij} with
+  /// i + j - t odd on an axis where the two centers share a coordinate, an
+  /// SP pair's lower-l components past their own range. The ERI kernel
+  /// walks only these entries (DESIGN.md section 12.7); hermite_cube
+  /// expands them to the dense form.
   std::vector<HermiteTerm> hrows;
 
   /// Component `comp`'s nonzero entries, ascending in p.
@@ -73,7 +70,7 @@ struct ShellPairData {
   std::size_t s1 = 0, s2 = 0;    ///< shell indices (s1 >= s2 by convention)
   int l1 = 0, l2 = 0;            ///< highest angular momentum of each shell
   int n1 = 1, n2 = 1;            ///< functions per shell (Shell::nfunc)
-  int hd = 1;                    ///< Hermite dimension per axis: l1+l2+1
+  int hd = 1;                    ///< Hermite cube dimension per axis: l1+l2+1
   std::vector<PrimPairData> prims;
 
   [[nodiscard]] int ncomp() const { return n1 * n2; }
@@ -84,6 +81,13 @@ struct ShellPairData {
   /// (Lbra, Lket) class key, and the side's Hermite triangle bound.
   [[nodiscard]] int lsum() const { return l1 + l2; }
 };
+
+/// The dense Hermite cube of primitive pair `pp` of `sp`, layout
+/// [comp][t*hd*hd + u*hd + v] with hd = l1 + l2 + 1, expanded from its
+/// nonzero rows. Exact, since every cell off the rows is zero; the
+/// reference ERI kernel and the tests read it, no production path does.
+std::vector<double> hermite_cube(const ShellPairData& sp,
+                                 const PrimPairData& pp);
 
 /// Build the pair data for two shells. Primitive pairs whose Gaussian
 /// product prefactor is below `prim_cutoff` are dropped (standard practice;

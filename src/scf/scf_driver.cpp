@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/memory_tracker.hpp"
@@ -37,6 +39,99 @@ la::Matrix core_guess_density(const la::Matrix& hcore, const la::Matrix& x,
                               int nocc) {
   la::SymEigResult eig = la::eigh_generalized(hcore, x);
   return density_from_coefficients(eig.vectors, nocc);
+}
+
+namespace {
+
+/// Same shells in the same order: angular momenta, exponents and
+/// contractions (centers aside).
+bool same_shells(const basis::BasisSet& a, const basis::BasisSet& b) {
+  if (a.nshells() != b.nshells()) return false;
+  for (std::size_t s = 0; s < a.nshells(); ++s) {
+    const basis::Shell& x = a.shell(s);
+    const basis::Shell& y = b.shell(s);
+    if (x.l != y.l || x.sp != y.sp || x.exps != y.exps ||
+        x.coefs != y.coefs || x.coefs_p != y.coefs_p) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// One neutral atom's density in its own shells: the orbitals of its
+/// one-electron Hamiltonian (its shells and its nucleus alone) take its Z
+/// electrons in ascending energy, at most two each, and a degenerate group
+/// shares its electrons equally.
+la::Matrix atom_density(const basis::BasisSet& block, const chem::Atom& atom,
+                        double lindep_tolerance) {
+  const chem::Molecule nucleus({atom});
+  const la::Matrix s = ints::overlap_matrix(block);
+  const la::SymEigResult eig = la::eigh_generalized(
+      ints::core_hamiltonian(block, nucleus),
+      la::canonical_orthogonalizer(s, lindep_tolerance));
+  const std::vector<double>& e = eig.values;
+  // Columns scaled by sqrt(occupation), so D = C' C'^T is exactly
+  // symmetric.
+  la::Matrix c = eig.vectors;
+  int left = atom.z;
+  std::size_t first = 0;
+  while (first < e.size()) {
+    std::size_t end = first + 1;
+    while (end < e.size() && std::abs(e[end] - e[first]) <=
+                                 1e-8 * std::max(1.0, std::abs(e[first]))) {
+      ++end;
+    }
+    const int size = static_cast<int>(end - first);
+    const int take = std::min(left, 2 * size);
+    const double w = std::sqrt(static_cast<double>(take) / size);
+    for (std::size_t k = first; k < end; ++k) {
+      for (std::size_t i = 0; i < c.rows(); ++i) c(i, k) *= w;
+    }
+    left -= take;
+    first = end;
+  }
+  MC_CHECK(left == 0, "atomic start: more electrons than orbitals on Z=" +
+                          std::to_string(atom.z));
+  return la::gemm_nt(c, c);
+}
+
+}  // namespace
+
+la::Matrix atomic_guess_density(const chem::Molecule& mol,
+                                const basis::BasisSet& bs, int nelec,
+                                double lindep_tolerance) {
+  struct Block {
+    int z;
+    basis::BasisSet shells;
+    la::Matrix density;
+  };
+  std::vector<Block> done;
+  la::Matrix d(bs.nbf(), bs.nbf());
+  std::size_t offset = 0;
+  for (std::size_t a = 0; a < mol.natoms(); ++a) {
+    const chem::Atom& atom = mol.atom(a);
+    basis::BasisSet shells = bs.atom_block(a);
+    std::size_t k = 0;
+    while (k < done.size() &&
+           (done[k].z != atom.z || !same_shells(done[k].shells, shells))) {
+      ++k;
+    }
+    if (k == done.size()) {
+      la::Matrix da = atom_density(shells, atom, lindep_tolerance);
+      done.push_back({atom.z, std::move(shells), std::move(da)});
+    }
+    const la::Matrix& da = done[k].density;
+    for (std::size_t i = 0; i < da.rows(); ++i) {
+      for (std::size_t j = 0; j < da.cols(); ++j) {
+        d(offset + i, offset + j) = da(i, j);
+      }
+    }
+    offset += da.rows();
+  }
+  MC_CHECK(offset == bs.nbf(),
+           "atomic start: the basis is not laid out atom by atom");
+  d *= static_cast<double>(nelec) / static_cast<double>(mol.total_z());
+  return d;
 }
 
 ScfResult run_scf(const chem::Molecule& mol, const basis::BasisSet& bs,
@@ -87,7 +182,8 @@ ScfResult run_rhf(const chem::Molecule& mol, const basis::BasisSet& bs,
              "warm-start seed density has the wrong shape");
     d.copy_values_from(*seed_density);
   } else {
-    d.copy_values_from(core_guess_density(h, x, nocc));
+    d.copy_values_from(
+        atomic_guess_density(mol, bs, nelec, options.lindep_tolerance));
   }
   la::Matrix g(nbf, nbf, "fock");
   // Incremental-build state: the accumulated *symmetrized* skeleton

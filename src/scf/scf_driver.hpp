@@ -1,7 +1,10 @@
 #pragma once
-// The SCF driver: core Hamiltonian guess, Fock build (delegated to a
-// FockBuilder strategy), DIIS, diagonalization, convergence control.
-// Mirrors the GAMESS RHF SCF structure the paper describes in section 3.
+// The SCF driver: a starting density superposed from atomic densities,
+// Fock build (delegated to a FockBuilder strategy), DIIS, diagonalization,
+// convergence control. Mirrors the GAMESS RHF SCF structure the paper
+// describes in section 3; like GAMESS, which starts RHF from an atomic
+// (Hueckel) guess, it starts from the atoms, not from the bare core
+// Hamiltonian of the whole molecule (DESIGN.md section 9.5).
 
 #include <functional>
 #include <string>
@@ -126,11 +129,13 @@ class ScfLockstep {
 /// Throws mc::Error for open-shell electron counts.
 ///
 /// `seed_density`: warm-start entry point (DESIGN.md section 15). When
-/// non-null it must be an nbf x nbf matrix; it replaces the core-Hamiltonian
-/// guess as the iteration-1 density. The job server seeds repeat
-/// (molecule, basis) requests from a previously converged density, cutting
-/// the iteration count; any symmetric density with the right trace works
-/// (the SCF fixed point does not depend on the starting guess).
+/// null the SCF starts from atomic_guess_density; when non-null it must be
+/// an nbf x nbf matrix and replaces that start as the iteration-1 density.
+/// The job server seeds repeat (molecule, basis) requests from a
+/// previously converged density, cutting the iteration count; a caller
+/// who wants the molecular core-Hamiltonian start passes
+/// core_guess_density here. Any symmetric density with the right trace
+/// works (the SCF fixed point does not depend on the starting guess).
 ScfResult run_scf(const chem::Molecule& mol, const basis::BasisSet& bs,
                   FockBuilder& builder, const ScfOptions& options = {},
                   const ScfCallbacks& callbacks = {},
@@ -152,6 +157,21 @@ ScfResult run_rhf(const chem::Molecule& mol, const basis::BasisSet& bs,
 /// Returns the initial density. `x` is the orthogonalizer (X^T S X = 1).
 la::Matrix core_guess_density(const la::Matrix& hcore, const la::Matrix& x,
                               int nocc);
+
+/// run_rhf's start: a superposition of atomic densities. Each atom's block
+/// comes from its own shells (BasisSet::atom_block) and its own nucleus
+/// alone: the one-electron Hamiltonian of that atom, diagonalized in its
+/// overlap metric (canonical orthogonalization at `lindep_tolerance`),
+/// with its Z electrons filling orbitals in ascending energy, at most two
+/// each; a degenerate group (|de| <= 1e-8 max(1, |e|)) shares its
+/// electrons equally (carbon 2p: 2/3 each). The block sits on the atom's
+/// diagonal block, the off-diagonal atom blocks are zero, and atoms of
+/// the same Z and shells share one block, computed once per call. The
+/// whole is scaled by nelec / total Z, so Tr(DS) = nelec for a charged
+/// molecule too.
+la::Matrix atomic_guess_density(const chem::Molecule& mol,
+                                const basis::BasisSet& bs, int nelec,
+                                double lindep_tolerance);
 
 /// Closed-shell density D = 2 C_occ C_occ^T from MO coefficients.
 la::Matrix density_from_coefficients(const la::Matrix& c, int nocc);

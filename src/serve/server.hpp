@@ -47,7 +47,8 @@ struct ServerOptions {
   std::size_t setup_cache_capacity = 16;
   std::size_t density_cache_capacity = 32;
   /// Seed repeat requests from cached converged densities. Off: repeat
-  /// jobs still reuse the setup cache but start from the core guess.
+  /// jobs still reuse the setup cache but start, like cold jobs, from the
+  /// SCF's atomic start (scf::atomic_guess_density).
   bool warm_start = true;
   /// When non-empty, one obs::JobRecord JSON line per terminal job is
   /// appended here (the CI serving lane's artifact).

@@ -9,9 +9,9 @@
 //    Schwarz threshold: a different cutoff is a different pair list.
 //  * DensityCache -- previously converged densities. A repeat
 //    (molecule, basis, charge) request is seeded from the cached density
-//    instead of the core-Hamiltonian guess, converging in strictly fewer
-//    iterations to the same fixed point (the SCF answer does not depend on
-//    the starting guess; tests/test_serve.cpp pins this).
+//    instead of the atomic start a cold job takes, converging in strictly
+//    fewer iterations to the same fixed point (the SCF answer does not
+//    depend on the starting guess; tests/test_serve.cpp pins this).
 //
 // Fingerprints hash the exact double bit patterns (coordinates,
 // thresholds), so "the same molecule" means bitwise the same geometry --

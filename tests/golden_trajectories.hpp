@@ -3,8 +3,9 @@
 // test_golden.cpp: per-iteration total energies (Hartree) and the
 // full-vs-delta rebuild decision for each reference run. Generated by the
 // serial driver (scf::run_scf with SerialFockBuilder, Schwarz threshold
-// 1e-10, default ScfOptions, incremental_fock as tagged) at %.17g -- full
-// double precision, so the arrays round-trip exactly.
+// 1e-10, default ScfOptions, incremental_fock as tagged, the atomic start
+// unless tagged otherwise) at %.17g -- full double precision, so the
+// arrays round-trip exactly.
 //
 // A parallel builder reproduces the serial quartet set and only
 // reassociates the additions, so every trajectory point must match to
@@ -31,6 +32,23 @@ inline constexpr double kGoldenEnergyTolerance = 1e-9;
 
 // benzene / STO-3G, full rebuilds (incremental_fock = false)
 inline constexpr GoldenIter kBenzeneSto3gFull[] = {
+    {-227.97112319989199, true},
+    {-227.85580069374569, true},
+    {-227.88887886870933, true},
+    {-227.89100476556266, true},
+    {-227.89100642255622, true},
+    {-227.89100648164677, true},
+    {-227.89100648177484, true},
+    {-227.89100648177671, true},
+};
+
+// benzene / STO-3G, full rebuilds, started from the molecular
+// core-Hamiltonian density (run_scf seeded with core_guess_density): the
+// trajectory every builder followed before the SCF started from atomic
+// densities. Kept so one test shows that the SCF loop itself is
+// unchanged; it reaches the atomic start's fixed point in two more
+// iterations.
+inline constexpr GoldenIter kBenzeneSto3gFullCoreStart[] = {
     {-207.64066406085126, true},
     {-224.17479000189471, true},
     {-227.08644356912978, true},
@@ -45,48 +63,44 @@ inline constexpr GoldenIter kBenzeneSto3gFull[] = {
 
 // benzene / STO-3G, incremental delta-density builds (default options)
 inline constexpr GoldenIter kBenzeneSto3gIncremental[] = {
-    {-207.64066406085126, true},
-    {-224.17479000189505, false},
-    {-227.08644356913007, false},
-    {-227.88629046138132, false},
-    {-227.8909476094237, false},
-    {-227.89100575693507, false},
-    {-227.89100645991707, false},
-    {-227.8910064817691, false},
-    {-227.89100648177859, false},
-    {-227.89100648178035, false},
+    {-227.97112319989199, true},
+    {-227.85580069374535, false},
+    {-227.88887886870893, false},
+    {-227.891004765563, false},
+    {-227.89100642255684, false},
+    {-227.8910064816495, false},
+    {-227.89100648177671, false},
+    {-227.89100648178126, false},
 };
 
 // water / 6-31G, full rebuilds
 inline constexpr GoldenIter kWater631gFull[] = {
-    {-69.622640889786027, true},
-    {-70.827342850436878, true},
-    {-75.870926974292331, true},
-    {-75.977990938164481, true},
-    {-75.983747334814439, true},
-    {-75.983932536044051, true},
-    {-75.983952100229629, true},
-    {-75.983953303806842, true},
-    {-75.983953325243291, true},
-    {-75.983953326065702, true},
-    {-75.983953326078819, true},
-    {-75.983953326078819, true},
+    {-72.739152479002499, true},
+    {-75.112750638490013, true},
+    {-75.934668279252634, true},
+    {-75.980290404828992, true},
+    {-75.983704293626744, true},
+    {-75.983947700689185, true},
+    {-75.98395329096968, true},
+    {-75.983953325327377, true},
+    {-75.983953326064452, true},
+    {-75.983953326078506, true},
+    {-75.983953326078847, true},
 };
 
 // water / 6-31G, incremental delta-density builds
 inline constexpr GoldenIter kWater631gIncremental[] = {
-    {-69.622640889786027, true},
-    {-70.827342850436793, false},
-    {-75.870926974292303, false},
-    {-75.977990938164524, false},
-    {-75.98374733481441, false},
-    {-75.983932536044136, false},
-    {-75.983952100229629, false},
-    {-75.983953303806857, false},
-    {-75.983953325243249, false},
-    {-75.983953326065688, false},
-    {-75.98395332607879, false},
-    {-75.98395332607889, false},
+    {-72.739152479002499, true},
+    {-75.112750638490013, false},
+    {-75.93466827925262, false},
+    {-75.980290404828992, false},
+    {-75.983704293626829, false},
+    {-75.983947700689171, false},
+    {-75.983953290969609, false},
+    {-75.983953325327377, false},
+    {-75.98395332606448, false},
+    {-75.983953326078563, false},
+    {-75.983953326078876, false},
 };
 
 }  // namespace mc::testing

@@ -177,5 +177,66 @@ TEST(BasisSet, SpShellIsFused) {
   }
 }
 
+TEST(BasisSet, AtomBlockRenumbersTheAtomsShells) {
+  const chem::Molecule mol = chem::builders::water();
+  const auto bs = BasisSet::build(mol, "6-31G(d)");
+  std::size_t s = 0;
+  std::size_t nbf = 0;
+  for (std::size_t a = 0; a < mol.natoms(); ++a) {
+    const BasisSet block = bs.atom_block(a);
+    std::size_t first = 0;
+    for (const Shell& sh : block.shells()) {
+      // The molecule's shells, atom by atom, in order.
+      ASSERT_LT(s, bs.nshells());
+      const Shell& orig = bs.shell(s++);
+      EXPECT_EQ(orig.atom, static_cast<int>(a));
+      EXPECT_EQ(sh.atom, 0);
+      EXPECT_EQ(sh.first_bf, first);
+      EXPECT_EQ(orig.first_bf, nbf + first);
+      EXPECT_EQ(sh.l, orig.l);
+      EXPECT_EQ(sh.sp, orig.sp);
+      EXPECT_EQ(sh.center, orig.center);
+      EXPECT_EQ(sh.exps, orig.exps);
+      EXPECT_EQ(sh.coefs, orig.coefs);
+      EXPECT_EQ(sh.coefs_p, orig.coefs_p);
+      first += static_cast<std::size_t>(sh.nfunc());
+    }
+    EXPECT_EQ(block.nbf(), first);
+    nbf += block.nbf();
+  }
+  EXPECT_EQ(s, bs.nshells());
+  EXPECT_EQ(nbf, bs.nbf());
+  // O: 1s, two SP shells and a Cartesian d; H: two s shells each.
+  EXPECT_EQ(bs.atom_block(0).nbf(), 15u);
+  EXPECT_EQ(bs.atom_block(1).nbf(), 2u);
+  EXPECT_EQ(bs.atom_block(3).nbf(), 0u);  // no such atom: empty
+}
+
+TEST(BasisSet, AtomBlockKeepsEachAtomsBasisInAMixedSet) {
+  const chem::Molecule mol = chem::builders::water();
+  const auto bs = BasisSet::build_mixed(mol, {"6-31G(d)", "STO-3G", "6-31G"});
+  const BasisSet o = bs.atom_block(0);
+  const BasisSet h_min = bs.atom_block(1);
+  const BasisSet h_split = bs.atom_block(2);
+  EXPECT_EQ(o.nbf(), 15u);
+  ASSERT_EQ(h_min.nshells(), 1u);
+  EXPECT_EQ(h_min.shell(0).nprim(), 3);
+  EXPECT_EQ(h_split.nshells(), 2u);
+  EXPECT_EQ(o.nbf() + h_min.nbf() + h_split.nbf(), bs.nbf());
+  // A block's overlap is the molecule's diagonal block for that atom.
+  const la::Matrix s = ints::overlap_matrix(bs);
+  std::size_t offset = 0;
+  for (std::size_t a = 0; a < mol.natoms(); ++a) {
+    const BasisSet block = bs.atom_block(a);
+    const la::Matrix sa = ints::overlap_matrix(block);
+    for (std::size_t i = 0; i < block.nbf(); ++i) {
+      for (std::size_t j = 0; j < block.nbf(); ++j) {
+        EXPECT_EQ(sa(i, j), s(offset + i, offset + j)) << a;
+      }
+    }
+    offset += block.nbf();
+  }
+}
+
 }  // namespace
 }  // namespace mc::basis

@@ -8,9 +8,11 @@
 // rebuild policy into one sequence of numbers, so a regression anywhere
 // upstream moves some iteration's energy by far more than the tolerance.
 //
-// Regenerate the golden arrays (only after an intentional numerics
-// change) with MC_GOLDEN_DUMP=1: the serial tests print ready-to-paste
-// array literals.
+// Every run starts from the SCF's default start (a superposition of
+// atomic densities) except SerialFullFromCoreStart, which pins the older
+// core-Hamiltonian start's trajectory. Regenerate the golden arrays (only
+// after an intentional numerics change) with MC_GOLDEN_DUMP=1: the serial
+// tests print ready-to-paste array literals.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +26,9 @@
 #include "core/parallel_scf.hpp"
 #include "golden_trajectories.hpp"
 #include "ints/eri.hpp"
+#include "ints/one_electron.hpp"
 #include "ints/screening.hpp"
+#include "la/orthogonalizer.hpp"
 #include "scf/scf_driver.hpp"
 #include "scf/serial_fock.hpp"
 
@@ -37,14 +41,19 @@ using mc::testing::kGoldenEnergyTolerance;
 constexpr double kSchwarzThreshold = 1e-10;  // golden-generation setting
 
 scf::ScfResult run_serial(const chem::Molecule& mol, const std::string& basis,
-                          bool incremental) {
+                          bool incremental, bool core_start = false) {
   auto bs = basis::BasisSet::build(mol, basis);
   ints::EriEngine eri(bs);
   ints::Screening screen(eri, kSchwarzThreshold);
   scf::SerialFockBuilder builder(eri, screen);
   scf::ScfOptions opt;
   opt.incremental_fock = incremental;
-  return scf::run_scf(mol, bs, builder, opt);
+  if (!core_start) return scf::run_scf(mol, bs, builder, opt);
+  const la::Matrix x = la::canonical_orthogonalizer(ints::overlap_matrix(bs),
+                                                    opt.lindep_tolerance);
+  const la::Matrix d = scf::core_guess_density(
+      ints::core_hamiltonian(bs, mol), x, mol.nelectrons() / 2);
+  return scf::run_scf(mol, bs, builder, opt, {}, &d);
 }
 
 scf::ScfResult run_parallel(ScfAlgorithm alg, const chem::Molecule& mol,
@@ -99,6 +108,15 @@ TEST(GoldenBenzene, SerialFull) {
   const auto res = run_serial(kBenzene, "STO-3G", false);
   maybe_dump("kBenzeneSto3gFull", res);
   expect_matches_golden(res, mc::testing::kBenzeneSto3gFull, "serial full");
+}
+
+// Seeded with the molecular core-Hamiltonian density, the serial SCF
+// retraces the trajectory every builder followed before the SCF started
+// from atomic densities: the start changed, the iteration did not.
+TEST(GoldenBenzene, SerialFullFromCoreStart) {
+  const auto res = run_serial(kBenzene, "STO-3G", false, true);
+  expect_matches_golden(res, mc::testing::kBenzeneSto3gFullCoreStart,
+                        "serial full, core start");
 }
 
 TEST(GoldenBenzene, SerialIncremental) {

@@ -168,21 +168,74 @@ TEST(Hermite, UnrolledRecursionMatchesLoopForm) {
 
 // ---- Shell-pair data ----
 
+/// The dense Hermite cube of primitive pair `pp` of (sh1, sh2), built
+/// straight from the E coefficients: c_a c_b f_a f_b E_t E_u E_v per
+/// component pair, layout [comp][t*hd*hd + u*hd + v] -- the oracle the pair
+/// data's nonzero rows are checked against.
+std::vector<double> dense_hermite(const basis::Shell& sh1,
+                                  const basis::Shell& sh2,
+                                  const ShellPairData& sp,
+                                  const PrimPairData& pp) {
+  const auto pa = static_cast<std::size_t>(
+      std::find(sh1.exps.begin(), sh1.exps.end(), pp.a) - sh1.exps.begin());
+  const auto pb = static_cast<std::size_t>(
+      std::find(sh2.exps.begin(), sh2.exps.end(), pp.b) - sh2.exps.begin());
+  const ETable ex(sh1.l, sh2.l, pp.a, pp.b, sh1.center[0] - sh2.center[0]);
+  const ETable ey(sh1.l, sh2.l, pp.a, pp.b, sh1.center[1] - sh2.center[1]);
+  const ETable ez(sh1.l, sh2.l, pp.a, pp.b, sh1.center[2] - sh2.center[2]);
+  const auto comps1 = basis::shell_components(sh1);
+  const auto comps2 = basis::shell_components(sh2);
+  const int hd = sp.hd;
+  std::vector<double> cube(static_cast<std::size_t>(sp.ncomp()) *
+                           sp.herm_size());
+  for (std::size_t c1 = 0; c1 < comps1.size(); ++c1) {
+    const auto [ix, iy, iz] = comps1[c1].ijk;
+    for (std::size_t c2 = 0; c2 < comps2.size(); ++c2) {
+      const auto [jx, jy, jz] = comps2[c2].ijk;
+      const double cf = (comps1[c1].coefs[pa] * comps2[c2].coefs[pb]) *
+                        comps1[c1].norm * comps2[c2].norm;
+      double* h = cube.data() + (c1 * comps2.size() + c2) * sp.herm_size();
+      for (int t = 0; t <= ix + jx; ++t) {
+        for (int u = 0; u <= iy + jy; ++u) {
+          const double exy = ex(ix, jx, t) * ey(iy, jy, u);
+          for (int v = 0; v <= iz + jz; ++v) {
+            h[(t * hd + u) * hd + v] = cf * exy * ez(iz, jz, v);
+          }
+        }
+      }
+    }
+  }
+  return cube;
+}
+
 /// Every component's nonzero rows hold exactly the nonzero entries of its
 /// dense Hermite row inside the t+u+v <= l1+l2 triangle, in ascending
 /// triangle order, with the ket weight (-1)^(t+u+v) h; the dense row is
-/// zero outside the triangle.
-void expect_rows_reproduce_triangle(const ShellPairData& sp) {
+/// zero outside the triangle; `hmax` is its largest |h|; and hermite_cube
+/// expands the rows back to the dense cube.
+void expect_rows_reproduce_triangle(const basis::Shell& sh1,
+                                    const basis::Shell& sh2,
+                                    const ShellPairData& sp) {
   const int lsum = sp.lsum();
   const int hd = sp.hd;
   for (std::size_t k = 0; k < sp.prims.size(); ++k) {
     const PrimPairData& pp = sp.prims[k];
+    const std::vector<double> dense = dense_hermite(sh1, sh2, sp, pp);
     ASSERT_EQ(pp.hrows.size() - static_cast<std::size_t>(sp.ncomp()) - 1,
               static_cast<std::size_t>(std::count_if(
-                  pp.hermite.begin(), pp.hermite.end(),
+                  dense.begin(), dense.end(),
                   [](double h) { return h != 0.0; })));
+    double hmax = 0.0;
+    for (const double h : dense) hmax = std::max(hmax, std::abs(h));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(pp.hmax),
+              std::bit_cast<std::uint64_t>(hmax));
+    const std::vector<double> cube = hermite_cube(sp, pp);
+    ASSERT_EQ(cube.size(), dense.size());
+    for (std::size_t x = 0; x < cube.size(); ++x) {
+      EXPECT_EQ(cube[x], dense[x]) << "cell " << x;  // +0 == -0
+    }
     for (int c = 0; c < sp.ncomp(); ++c) {
-      const double* h = pp.hermite.data() +
+      const double* h = dense.data() +
                         static_cast<std::size_t>(c) * sp.herm_size();
       for (int t = 0; t < hd; ++t) {
         for (int u = 0; u < hd; ++u) {
@@ -238,7 +291,7 @@ TEST(ShellPair, NonzeroRowsReproduceTheTriangle) {
     for (std::size_t s1 = 0; s1 < bs.nshells(); ++s1) {
       for (std::size_t s2 = 0; s2 <= s1; ++s2) {
         const ShellPairData& sp = pairs.pair(s1, s2);
-        expect_rows_reproduce_triangle(sp);
+        expect_rows_reproduce_triangle(bs.shell(s1), bs.shell(s2), sp);
         for (const PrimPairData& pp : sp.prims) {
           sparse += pp.hrows.size() - static_cast<std::size_t>(sp.ncomp()) - 1;
           total += static_cast<std::size_t>(sp.ncomp()) *
@@ -441,8 +494,8 @@ TEST(Eri, TwoCenterSsssMatchesBoysClosedForm) {
                         bra.prims[0].P[2] - ket.prims[0].P[2]};
   RTable rt(0, alpha, pq);
   const double got = 2.0 * std::pow(kPi, 2.5) / (p * q * std::sqrt(p + q)) *
-                     bra.prims[0].hermite[0] * ket.prims[0].hermite[0] *
-                     rt(0, 0, 0);
+                     hermite_cube(bra, bra.prims[0])[0] *
+                     hermite_cube(ket, ket.prims[0])[0] * rt(0, 0, 0);
   EXPECT_NEAR(got, expected, 1e-12);
 }
 

@@ -8,8 +8,10 @@
 #include <cmath>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "basis/basis_library.hpp"
 #include "basis/basis_set.hpp"
 #include "chem/builders.hpp"
 #include "common/error.hpp"
@@ -19,6 +21,7 @@
 #include "ints/screening.hpp"
 #include "la/blas_lite.hpp"
 #include "la/orthogonalizer.hpp"
+#include "la/sym_eig.hpp"
 #include "scf/diis.hpp"
 #include "scf/scf_driver.hpp"
 #include "scf/serial_fock.hpp"
@@ -456,6 +459,189 @@ TEST(Scf, ScreeningDoesNotChangeEnergy) {
   g.set_zero();
   b2.build(r1.density, g);
   EXPECT_LT(b2.last_quartets_computed(), tight_quartets);
+}
+
+// ---- The atomic start (atomic_guess_density) ----
+
+double trace_ds(const la::Matrix& d, const la::Matrix& s) {
+  return la::gemm(d, s).trace();
+}
+
+/// One atom's occupations in its one-electron orbitals C (ascending
+/// energy): diag(C^T S D S C), as C^T S C = 1.
+std::vector<double> atom_occupations(const chem::Molecule& atom,
+                                     const basis::BasisSet& bs,
+                                     const la::Matrix& d,
+                                     std::vector<double>& energies) {
+  const la::Matrix s = ints::overlap_matrix(bs);
+  const la::SymEigResult eig = la::eigh_generalized(
+      ints::core_hamiltonian(bs, atom), la::canonical_orthogonalizer(s));
+  energies = eig.values;
+  const la::Matrix sc = la::gemm(s, eig.vectors);
+  const la::Matrix n = la::gemm_tn(sc, la::gemm(d, sc));
+  std::vector<double> occ;
+  for (std::size_t k = 0; k < n.rows(); ++k) occ.push_back(n(k, k));
+  return occ;
+}
+
+TEST(ScfGuess, AtomHoldsZElectronsInItsGroundConfiguration) {
+  // Every element and basis of the library, off the origin. The levels
+  // order 1s < 2s < 2p, so the fill is the neutral atom's ground
+  // configuration, spherically averaged: the 2p triple shares Z - 4.
+  int checked = 0;
+  for (const std::string& name : basis::available_basis_sets()) {
+    for (const int z : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}) {
+      if (!basis::has_element_basis(name, z)) continue;
+      chem::Molecule atom;
+      atom.add_atom(z, 0.4, -1.1, 0.7);
+      const auto bs = basis::BasisSet::build(atom, name);
+      const la::Matrix d = atomic_guess_density(atom, bs, z, 1e-10);
+      EXPECT_NEAR(trace_ds(d, ints::overlap_matrix(bs)), z, 1e-12)
+          << name << " Z=" << z;
+      std::vector<double> e;
+      const std::vector<double> occ = atom_occupations(atom, bs, d, e);
+      std::vector<double> want(occ.size(), 0.0);
+      if (z <= 2) {
+        want[0] = z;
+      } else {
+        ASSERT_GE(occ.size(), 5u) << name << " Z=" << z;
+        want[0] = want[1] = 2.0;
+        want[2] = want[3] = want[4] = (z - 4) / 3.0;
+        EXPECT_LT(e[0], e[1]) << name << " Z=" << z;  // 1s < 2s
+        EXPECT_LT(e[1], e[2]) << name << " Z=" << z;  // 2s < 2p
+        EXPECT_NEAR(e[4], e[2], 1e-8 * std::abs(e[2])) << name;
+      }
+      for (std::size_t k = 0; k < occ.size(); ++k) {
+        EXPECT_NEAR(occ[k], want[k], 1e-12)
+            << name << " Z=" << z << " orbital " << k;
+      }
+      ++checked;
+    }
+  }
+  // H, He, C, N, O in STO-3G; H, C, N, O in each Pople set.
+  EXPECT_EQ(checked, 17);
+}
+
+TEST(ScfGuess, TraceIsElectronCountForEveryCharge) {
+  for (const chem::Molecule& mol :
+       {chem::builders::water(), chem::builders::methane(),
+        chem::builders::benzene()}) {
+    for (const char* name : {"STO-3G", "6-31G(d)"}) {
+      const auto bs = basis::BasisSet::build(mol, name);
+      const la::Matrix s = ints::overlap_matrix(bs);
+      for (const int charge : {0, 2, -2}) {
+        const int nelec = mol.nelectrons(charge);
+        const la::Matrix d = atomic_guess_density(mol, bs, nelec, 1e-10);
+        EXPECT_TRUE(d.is_symmetric(0.0));
+        EXPECT_NEAR(trace_ds(d, s), nelec, 1e-10 * nelec)
+            << name << " charge " << charge;
+      }
+    }
+  }
+}
+
+TEST(ScfGuess, AtomsShareNoOffDiagonalBlockAndAlikeAtomsShareBits) {
+  const chem::Molecule mol = chem::builders::alkane(2);  // C2H6
+  const auto bs = basis::BasisSet::build(mol, "6-31G(d)");
+  const la::Matrix d =
+      atomic_guess_density(mol, bs, mol.nelectrons(), 1e-10);
+  std::vector<std::size_t> first(mol.natoms() + 1, 0);
+  for (std::size_t a = 0; a < mol.natoms(); ++a) {
+    first[a + 1] = first[a] + bs.atom_block(a).nbf();
+  }
+  for (std::size_t a = 0; a < mol.natoms(); ++a) {
+    for (std::size_t b = 0; b < mol.natoms(); ++b) {
+      if (a == b) continue;
+      for (std::size_t i = first[a]; i < first[a + 1]; ++i) {
+        for (std::size_t j = first[b]; j < first[b + 1]; ++j) {
+          ASSERT_EQ(d(i, j), 0.0) << "atoms " << a << ", " << b;
+        }
+      }
+    }
+  }
+  // Every atom's block is, bit for bit, that of the first atom of its
+  // element (one element has one set of shells here), wherever it sits.
+  int shared = 0;
+  for (std::size_t a = 0; a < mol.natoms(); ++a) {
+    std::size_t a0 = 0;
+    while (mol.atom(a0).z != mol.atom(a).z) ++a0;
+    if (a0 == a) continue;
+    for (std::size_t i = 0; i < first[a + 1] - first[a]; ++i) {
+      for (std::size_t j = 0; j < first[a + 1] - first[a]; ++j) {
+        ASSERT_EQ(d(first[a] + i, first[a] + j),
+                  d(first[a0] + i, first[a0] + j))
+            << "atom " << a;
+      }
+    }
+    ++shared;
+  }
+  EXPECT_EQ(shared, 6);  // the second carbon and five of six hydrogens
+}
+
+/// Serial SCFs from the atomic start and from the molecular core
+/// Hamiltonian (seeded): the same fixed point, in no more iterations.
+void expect_atomic_start_no_slower(const chem::Molecule& mol,
+                                   const basis::BasisSet& bs,
+                                   const std::string& what) {
+  ints::EriEngine eri(bs);
+  ints::Screening screen(eri, 1e-10);
+  SerialFockBuilder builder(eri, screen);
+  const ScfOptions opt;
+  const la::Matrix core = core_guess_density(
+      ints::core_hamiltonian(bs, mol),
+      la::canonical_orthogonalizer(ints::overlap_matrix(bs),
+                                   opt.lindep_tolerance),
+      mol.nelectrons() / 2);
+  const ScfResult from_core = run_scf(mol, bs, builder, opt, {}, &core);
+  const ScfResult from_atoms = run_scf(mol, bs, builder, opt);
+  ASSERT_TRUE(from_core.converged) << what;
+  ASSERT_TRUE(from_atoms.converged) << what;
+  EXPECT_NEAR(from_atoms.energy, from_core.energy, 1e-10) << what;
+  EXPECT_LE(from_atoms.iterations, from_core.iterations) << what;
+}
+
+TEST(ScfGuess, MixedBasisStartReachesTheCoreStartEnergy) {
+  const chem::Molecule mol = chem::builders::water();
+  const auto bs =
+      basis::BasisSet::build_mixed(mol, {"6-31G(d)", "STO-3G", "6-31G"});
+  const la::Matrix d =
+      atomic_guess_density(mol, bs, mol.nelectrons(), 1e-10);
+  EXPECT_NEAR(trace_ds(d, ints::overlap_matrix(bs)), mol.nelectrons(),
+              1e-12);
+  expect_atomic_start_no_slower(mol, bs, "water/mixed");
+}
+
+TEST(ScfGuess, GoldenMoleculesConvergeNoSlower) {
+  for (const auto& [mol, name] :
+       {std::pair{chem::builders::benzene(), "STO-3G"},
+        std::pair{chem::builders::water(), "6-31G"}}) {
+    expect_atomic_start_no_slower(mol, basis::BasisSet::build(mol, name),
+                                  name);
+  }
+}
+
+TEST(ScfGuess, BenchMoleculesConvergeNoSlower) {
+  for (const auto& [mol, name] :
+       {std::pair{chem::builders::alkane(5), "STO-3G"},
+        std::pair{chem::builders::alkane(2), "6-31G(d)"}}) {
+    expect_atomic_start_no_slower(mol, basis::BasisSet::build(mol, name),
+                                  name);
+  }
+}
+
+TEST(ScfGuess, ServeCatalogueConvergesNoSlower) {
+  // The job server benchmark's catalogue; its benzene/STO-3G and
+  // ethane/6-31G(d) entries run in the two tests above.
+  for (const auto& [mol, name] :
+       {std::pair{chem::builders::water(), "6-31G(d)"},
+        std::pair{chem::builders::water(), "STO-3G"},
+        std::pair{chem::builders::methane(), "STO-3G"},
+        std::pair{chem::builders::methane(), "6-31G(d)"},
+        std::pair{chem::builders::alkane(2), "STO-3G"},
+        std::pair{chem::builders::alkane(3), "STO-3G"}}) {
+    expect_atomic_start_no_slower(mol, basis::BasisSet::build(mol, name),
+                                  name);
+  }
 }
 
 // ---- Helpers: canonical quartet enumeration ----
