@@ -34,6 +34,7 @@
 #include "common/timer.hpp"
 #include "core/parallel_scf.hpp"
 #include "ints/one_electron.hpp"
+#include "ints/point_group.hpp"
 #include "scf/mp2.hpp"
 #include "scf/properties.hpp"
 #include "scf/serial_fock.hpp"
@@ -130,6 +131,13 @@ int run(const Args& a) {
               "functions (%s)\n",
               mol.natoms(), mol.nelectrons(a.charge), bs.nshells(), bs.nbf(),
               a.basis.c_str());
+  if (a.method != "uhf") {
+    // The group the RHF Fock builders use while the density stays
+    // invariant (UHF builds C1).
+    const ints::PointGroup group = ints::PointGroup::detect(bs);
+    std::printf("point group: order %d (%s)\n", group.order(),
+                group.describe().c_str());
+  }
 
   WallTimer wall;
   if (a.method == "uhf") {

@@ -202,8 +202,8 @@ void FockBuilderDist::flush_batch(ints::QuartetBatch& batch, DCache& dcache,
   const TileRoute route{dcache, facc};
   for (std::size_t idx = 0; idx < batch.size(); ++idx) {
     const ints::QuartetBatch::Entry& e = batch.quartets()[idx];
-    scf::scatter_updates(bs, e.si, e.sj, e.sk, e.sl, batch.result(idx),
-                         route);
+    scf::scatter_updates(bs, e.si, e.sj, e.sk, e.sl, e.weight,
+                         batch.result(idx), route);
   }
   batch.clear();
 }
@@ -211,7 +211,7 @@ void FockBuilderDist::flush_batch(ints::QuartetBatch& batch, DCache& dcache,
 void FockBuilderDist::build(const la::Matrix& density, la::Matrix& g,
                             const scf::FockContext& ctx) {
   MC_OBS_TRACE("fock:dist");
-  const scf::QuartetCascade cascade = begin_build(ctx);
+  const scf::QuartetCascade cascade = begin_build(density, ctx);
   const basis::BasisSet& bs = eri_->basis_set();
   const std::size_t nbf = bs.nbf();
   MC_CHECK(g.rows() == nbf && g.cols() == nbf, "G shape mismatch");
@@ -278,10 +278,11 @@ void FockBuilderDist::build(const la::Matrix& density, la::Matrix& g,
     ++stats_.pairs_claimed;
     const std::size_t i = pairs[p].i;
     const std::size_t j = pairs[p].j;
-    cascade.for_each_kept(i, j, stats_, [&](std::size_t k, std::size_t l) {
-      batch.add(i, j, k, l);
-      if (batch.full()) flush_batch(batch, dcache, facc);
-    });
+    cascade.for_each_kept(
+        i, j, stats_, [&](std::size_t k, std::size_t l, unsigned w) {
+          batch.add(i, j, k, l, 0, w);
+          if (batch.full()) flush_batch(batch, dcache, facc);
+        });
   }
   flush_batch(batch, dcache, facc);
 
@@ -298,6 +299,8 @@ void FockBuilderDist::build(const la::Matrix& density, la::Matrix& g,
   ddi_->fence(fwin);  // all copies out before the windows go away
   ddi_->destroy(fwin);
   ddi_->destroy(dwin);
+  // Every rank expands the replicated symmetry-unique skeleton alike.
+  cascade.project(g);
 
   stats_.thread_quartets = {stats_.quartets};
   stats_.tile_hits = dcache.hits_;

@@ -9,7 +9,7 @@ namespace mc::core {
 void FockBuilderMpi::build(const la::Matrix& density, la::Matrix& g,
                            const scf::FockContext& ctx) {
   MC_OBS_TRACE("fock:mpi");
-  const scf::QuartetCascade cascade = begin_build(ctx);
+  const scf::QuartetCascade cascade = begin_build(density, ctx);
   const basis::BasisSet& bs = eri_->basis_set();
   MC_CHECK(g.rows() == bs.nbf() && g.cols() == bs.nbf(), "G shape mismatch");
 
@@ -32,16 +32,19 @@ void FockBuilderMpi::build(const la::Matrix& density, la::Matrix& g,
     ++stats_.pairs_claimed;
     const std::size_t i = pairs[p].i;
     const std::size_t j = pairs[p].j;
-    cascade.for_each_kept(i, j, stats_, [&](std::size_t k, std::size_t l) {
-      batch.add(i, j, k, l);
-      if (batch.full()) scf::scatter_batch(bs, batch, density, g);
-    });
+    cascade.for_each_kept(
+        i, j, stats_, [&](std::size_t k, std::size_t l, unsigned w) {
+          batch.add(i, j, k, l, 0, w);
+          if (batch.full()) scf::scatter_batch(bs, batch, density, g);
+        });
   }
   scf::scatter_batch(bs, batch, density, g);
   stats_.thread_quartets = {stats_.quartets};
 
-  // 2e-Fock matrix reduction over ranks.
+  // 2e-Fock matrix reduction over ranks, then every rank expands the
+  // reduced symmetry-unique skeleton alike.
   ddi_->gsumf(g);
+  cascade.project(g);
 }
 
 }  // namespace mc::core

@@ -17,7 +17,7 @@ namespace mc::core {
 void FockBuilderPrivate::build(const la::Matrix& density, la::Matrix& g,
                                const scf::FockContext& ctx) {
   MC_OBS_TRACE("fock:private");
-  const scf::QuartetCascade cascade = begin_build(ctx);
+  const scf::QuartetCascade cascade = begin_build(density, ctx);
   const basis::BasisSet& bs = eri_->basis_set();
   const std::size_t nbf = bs.nbf();
   MC_CHECK(g.rows() == nbf && g.cols() == nbf, "G shape mismatch");
@@ -109,18 +109,17 @@ void FockBuilderPrivate::build(const la::Matrix& density, la::Matrix& g,
         for (long k = 0; k <= i; ++k) {
           const auto si = static_cast<std::size_t>(i);
           const auto sj = static_cast<std::size_t>(j);
-          // Bra-pair prescreen hoisted out of the l loop.
-          if (!cascade.keep_pair(si, sj)) continue;
-          const long lmax = (k == i) ? j : k;
-          for (long l = 0; l <= lmax; ++l) {
-            const auto sk = static_cast<std::size_t>(k);
-            const auto sl = static_cast<std::size_t>(l);
-            if (!cascade.keep(si, sj, sk, sl, mine)) continue;
-            // Queue for batched evaluation; digest updates the *private*
-            // 2e-Fock matrix, so no synchronization on flush either.
-            batch.add(si, sj, sk, sl);
-            if (batch.full()) scf::scatter_batch(bs, batch, den.get(), gp);
-          }
+          const auto sk = static_cast<std::size_t>(k);
+          cascade.for_each_kept_in_row(
+              si, sj, sk, mine, [&](std::size_t sl, unsigned w) {
+                // Queue for batched evaluation; digest updates the
+                // *private* 2e-Fock matrix, so no synchronization on
+                // flush either.
+                batch.add(si, sj, sk, sl, 0, w);
+                if (batch.full()) {
+                  scf::scatter_batch(bs, batch, den.get(), gp);
+                }
+              });
         }
       }
       // Keeps the team in lockstep with the master: iteration N's reads of
@@ -165,8 +164,10 @@ void FockBuilderPrivate::build(const la::Matrix& density, la::Matrix& g,
   // reduction publishes a corrupted matrix.
   checker.finalize();
 
-  // 2e-Fock matrix reduction over MPI ranks.
+  // 2e-Fock matrix reduction over MPI ranks, then every rank expands the
+  // reduced symmetry-unique skeleton alike.
   ddi_->gsumf(g);
+  cascade.project(g);
 }
 
 }  // namespace mc::core

@@ -76,7 +76,7 @@ struct SharedRoute {
 void FockBuilderShared::build(const la::Matrix& density, la::Matrix& g,
                               const scf::FockContext& ctx) {
   MC_OBS_TRACE("fock:shared");
-  const scf::QuartetCascade cascade = begin_build(ctx);
+  const scf::QuartetCascade cascade = begin_build(density, ctx);
   const basis::BasisSet& bs = eri_->basis_set();
   const std::size_t nbf = bs.nbf();
   // The MPI DLB counter walks the Screening's bra-grouped pair list:
@@ -117,14 +117,15 @@ void FockBuilderShared::build(const la::Matrix& density, la::Matrix& g,
   const acc::SharedReadOnly<const la::Matrix&> den(density);
 
   // The master's claim: the next list position whose pair passes the ij
-  // prescreen of Algorithm 3 line 13, or one past the list. A prescreened
-  // pair costs the team no barrier.
+  // prescreen of Algorithm 3 line 13 (and, symmetry-unique, is the largest
+  // of its orbit), or one past the list. A dropped pair costs the team no
+  // barrier; the master counts a symmetry-dropped pair's quartets alone.
   const auto claim = [&]() {
     long pos = ddi_->dlbnext();  // MPI DLB: get new list position
     for (; pos < nlist; pos = ddi_->dlbnext()) {
       ++stats_.pairs_claimed;
       const ints::ScreenedPair& pr = bra_pairs[static_cast<std::size_t>(pos)];
-      if (cascade.keep_pair(pr.i, pr.j)) break;
+      if (cascade.keep_pair(pr.i, pr.j, stats_)) break;
     }
     return pos;
   };
@@ -184,8 +185,8 @@ void FockBuilderShared::build(const la::Matrix& density, la::Matrix& g,
       for (std::size_t qi = 0; qi < qbatch.size(); ++qi) {
         const ints::QuartetBatch::Entry& e = qbatch.quartets()[qi];
         th.set_task(static_cast<long>(e.tag));
-        scf::scatter_updates(bs, e.si, e.sj, e.sk, e.sl, qbatch.result(qi),
-                             route);
+        scf::scatter_updates(bs, e.si, e.sj, e.sk, e.sl, e.weight,
+                             qbatch.result(qi), route);
       }
       qbatch.clear();
     };
@@ -216,10 +217,11 @@ void FockBuilderShared::build(const la::Matrix& density, la::Matrix& g,
         th.set_task(kl);
         const auto [k, l] =
             screen_->pair_shells(static_cast<std::size_t>(kl));
-        if (!cascade.keep(i, j, k, l, mine)) continue;
+        const unsigned w = cascade.keep(i, j, k, l, mine);
+        if (w == 0) continue;
         // Queue (i,j|k,l); the kl tag routes the digest's F_kl writes back
         // to this task in the shadow ledger.
-        qbatch.add(i, j, k, l, static_cast<std::uint64_t>(kl));
+        qbatch.add(i, j, k, l, static_cast<std::uint64_t>(kl), w);
         if (qbatch.full()) digest_batch();
       }
       digest_batch();
@@ -266,8 +268,10 @@ void FockBuilderShared::build(const la::Matrix& density, la::Matrix& g,
   // reduction publishes a corrupted matrix.
   checker.finalize();
 
-  // 2e-Fock matrix reduction over MPI ranks.
+  // 2e-Fock matrix reduction over MPI ranks, then every rank expands the
+  // reduced symmetry-unique skeleton alike.
   ddi_->gsumf(g);
+  cascade.project(g);
 }
 
 }  // namespace mc::core

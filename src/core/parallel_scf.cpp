@@ -57,13 +57,6 @@ std::unique_ptr<scf::FockBuilder> make_builder(
   return nullptr;
 }
 
-/// OpenMP threads the algorithm's builder runs on each rank.
-int rank_threads(const ParallelScfConfig& cfg) {
-  const bool team = cfg.algorithm == ScfAlgorithm::kPrivateFock ||
-                    cfg.algorithm == ScfAlgorithm::kSharedFock;
-  return team ? cfg.nthreads : 1;
-}
-
 /// The RHF core's lockstep over one SPMD team: the counter sum is a
 /// ddi_gsumf, the RMS agreement an allreduce_max, and the profiling gather
 /// deposits into `slots` between two barriers (profiling only, so runs
@@ -108,6 +101,12 @@ class CommLockstep final : public scf::ScfLockstep {
 
 }  // namespace
 
+int builder_threads(ScfAlgorithm algorithm, int nthreads) {
+  const bool team = algorithm == ScfAlgorithm::kPrivateFock ||
+                    algorithm == ScfAlgorithm::kSharedFock;
+  return team ? nthreads : 1;
+}
+
 ParallelScfResult run_parallel_scf(const chem::Molecule& mol,
                                    const ParallelScfConfig& config) {
   return run_parallel_scf(mol, config, ParallelScfContext{});
@@ -151,7 +150,7 @@ ParallelScfResult run_parallel_scf(const chem::Molecule& mol,
     // region without its own num_threads clause (the Screening's Schwarz
     // sweep) would otherwise fork a default team of one thread per CPU on
     // every rank. The setting dies with the rank thread.
-    omp_set_num_threads(rank_threads(config));
+    omp_set_num_threads(builder_threads(config.algorithm, config.nthreads));
     par::Ddi ddi(comm);
     const int rank = comm.rank();
 

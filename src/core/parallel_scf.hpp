@@ -87,6 +87,15 @@ struct ParallelScfResult {
   [[nodiscard]] double load_imbalance() const;
 };
 
+/// OpenMP threads the algorithm's builder runs on each rank: `nthreads`
+/// for private and shared Fock, 1 otherwise. A thread about to build a
+/// setup sets its OpenMP width to this first (run_parallel_scf on every
+/// rank, the job server on its world thread): the Screening's Schwarz
+/// sweep, the one OpenMP region without its own num_threads clause, would
+/// otherwise fork a default team of one thread per CPU that idles for the
+/// thread's life.
+int builder_threads(ScfAlgorithm algorithm, int nthreads);
+
 /// Run the distributed SCF. Throws mc::Error on invalid configuration or
 /// non-convergence is reported via result.scf.converged.
 ParallelScfResult run_parallel_scf(const chem::Molecule& mol,

@@ -17,13 +17,15 @@ QuartetBatch::QuartetBatch(const EriEngine& eng, std::size_t capacity)
 }
 
 void QuartetBatch::add(std::size_t si, std::size_t sj, std::size_t sk,
-                       std::size_t sl, std::uint64_t tag) {
+                       std::size_t sl, std::uint64_t tag,
+                       std::uint32_t weight) {
   MC_CHECK(!full(), "QuartetBatch::add on a full batch (flush first)");
   Entry e;
   e.si = static_cast<std::uint32_t>(si);
   e.sj = static_cast<std::uint32_t>(sj);
   e.sk = static_cast<std::uint32_t>(sk);
   e.sl = static_cast<std::uint32_t>(sl);
+  e.weight = weight;
   e.tag = tag;
   e.offset = results_size_;
   e.size = eng_->batch_size(si, sj, sk, sl);

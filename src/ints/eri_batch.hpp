@@ -44,6 +44,9 @@ class QuartetBatch {
  public:
   struct Entry {
     std::uint32_t si = 0, sj = 0, sk = 0, sl = 0;  ///< caller shell indices
+    /// Caller-defined multiplicity (the Fock builders' symmetry orbit
+    /// size); rides along untouched like `tag`.
+    std::uint32_t weight = 1;
     std::uint64_t tag = 0;     ///< caller-defined (e.g. kl task id)
     std::size_t offset = 0;    ///< into the results buffer
     std::size_t size = 0;      ///< doubles in this quartet's batch
@@ -52,10 +55,10 @@ class QuartetBatch {
   explicit QuartetBatch(const EriEngine& eng,
                         std::size_t capacity = kDefaultBatchCapacity);
 
-  /// Queue one quartet (must not be full). `tag` rides along untouched for
-  /// the caller's digest routing.
+  /// Queue one quartet (must not be full). `tag` and `weight` ride along
+  /// untouched for the caller's digest.
   void add(std::size_t si, std::size_t sj, std::size_t sk, std::size_t sl,
-           std::uint64_t tag = 0);
+           std::uint64_t tag = 0, std::uint32_t weight = 1);
 
   /// Evaluate every queued quartet (class-grouped Boys batching). After
   /// this, result(i) is valid for each entry i.

@@ -10,7 +10,9 @@
 namespace mc::ints {
 
 Screening::Screening(const EriEngine& eri, double threshold)
-    : nshells_(eri.basis_set().nshells()), threshold_(threshold) {
+    : nshells_(eri.basis_set().nshells()),
+      threshold_(threshold),
+      group_(PointGroup::detect(eri.basis_set())) {
   MC_CHECK(threshold > 0.0, "screening threshold must be positive");
   q_.assign(nshells_ * nshells_, 0.0);
 

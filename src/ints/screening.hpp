@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "ints/eri.hpp"
+#include "ints/point_group.hpp"
 
 namespace mc::ints {
 
@@ -36,7 +37,8 @@ struct ScreenedPair {
 
 class Screening {
  public:
-  /// Computes the shell-pair Schwarz bounds Q with the given engine.
+  /// Computes the shell-pair Schwarz bounds Q with the given engine, and
+  /// detects the basis's point group (PointGroup::detect).
   /// `threshold`: quartets with Q_ij*Q_kl below it are skipped (GAMESS
   /// default integral cutoff is 1e-9; we default to 1e-10).
   /// The O(nshells^2) diagonal (ij|ij) loop is OpenMP-parallel.
@@ -48,6 +50,9 @@ class Screening {
   [[nodiscard]] double qmax() const { return qmax_; }
   [[nodiscard]] double threshold() const { return threshold_; }
   [[nodiscard]] std::size_t nshells() const { return nshells_; }
+  /// The basis's point group. Everything else here keeps its C1 meaning:
+  /// the Fock builders apply the group in scf::QuartetCascade.
+  [[nodiscard]] const PointGroup& point_group() const { return group_; }
 
   /// True if the quartet survives the static Schwarz bound.
   [[nodiscard]] bool keep(std::size_t i, std::size_t j, std::size_t k,
@@ -125,6 +130,7 @@ class Screening {
   std::vector<ScreenedPair> sorted_pairs_;
   std::vector<ScreenedPair> bra_grouped_pairs_;
   std::vector<std::size_t> sorted_bra_shells_;
+  PointGroup group_;
 };
 
 }  // namespace mc::ints

@@ -185,8 +185,12 @@ std::string iteration_json(const IterationRecord& rec) {
   append_size(out, rec.static_screened);
   out += ",\"density_screened\":";
   append_size(out, rec.density_screened);
+  out += ",\"symmetry_skipped\":";
+  append_size(out, rec.symmetry_skipped);
   out += ",\"screening_predicted_quartets\":";
   append_size(out, rec.screening_predicted_quartets);
+  out += ",\"group_order\":";
+  append_size(out, static_cast<std::size_t>(rec.group_order));
   out += ",\"load_imbalance\":";
   append_double(out, rec.load_imbalance());
   out += ",\"ranks\":[";
@@ -205,6 +209,8 @@ std::string iteration_json(const IterationRecord& rec) {
     append_size(out, r.static_screened);
     out += ",\"density_screened\":";
     append_size(out, r.density_screened);
+    out += ",\"symmetry_skipped\":";
+    append_size(out, r.symmetry_skipped);
     out += ",\"thread_quartets\":[";
     for (std::size_t t = 0; t < r.thread_quartets.size(); ++t) {
       if (t > 0) out += ",";

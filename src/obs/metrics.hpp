@@ -115,6 +115,7 @@ struct RankIterationMetrics {
   std::size_t quartets = 0;        ///< shell quartets computed
   std::size_t static_screened = 0; ///< killed by the static Schwarz bound
   std::size_t density_screened = 0;///< killed by the density-weighted bound
+  std::size_t symmetry_skipped = 0;///< carried by their orbit's representative
   std::vector<std::size_t> thread_quartets;  ///< per-OpenMP-thread split
   double dlb_wait_seconds = 0.0;
   double gsum_seconds = 0.0;
@@ -141,9 +142,13 @@ struct IterationRecord {
   std::size_t quartets = 0;          ///< summed over ranks
   std::size_t static_screened = 0;   ///< summed over ranks
   std::size_t density_screened = 0;  ///< summed over ranks
-  /// Static-survivor quartet count predicted by the Schwarz screening;
-  /// full-rebuild iterations must compute exactly this many (0 = unknown).
+  std::size_t symmetry_skipped = 0;  ///< summed over ranks
+  /// Quartets a full build computes, predicted from the screening: the
+  /// static survivors, one per symmetry orbit. Full-rebuild iterations of
+  /// a symmetry-unique build compute exactly this many (0 = unknown).
   std::size_t screening_predicted_quartets = 0;
+  /// Order of the point group the iteration's build used (1 = C1).
+  int group_order = 1;
   std::vector<RankIterationMetrics> ranks;
 
   /// max/mean of per-rank quartet counts (1.0 = perfect balance).

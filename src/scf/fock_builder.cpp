@@ -37,9 +37,12 @@ FockContext FockContext::from_density(const basis::BasisSet& bs,
 }
 
 QuartetCascade::QuartetCascade(const ints::Screening& screen,
-                               const FockContext& ctx)
+                               const FockContext& ctx, bool symmetric)
     : screen_(&screen),
       ctx_(&ctx),
+      group_(symmetric && screen.point_group().order() > 1
+                 ? &screen.point_group()
+                 : nullptr),
       weighted_(ctx.weighted()),
       pair_dmax_(4.0 * ctx.dmax_max),
       scale_(ctx.threshold_scale) {
@@ -51,10 +54,32 @@ QuartetCascade::QuartetCascade(const ints::Screening& screen,
   }
 }
 
-QuartetCascade FockBuilder::begin_build(const FockContext& ctx) {
+QuartetCascade QuartetCascade::for_density(const ints::Screening& screen,
+                                           const la::Matrix& density,
+                                           const FockContext& ctx) {
+  const ints::PointGroup& group = screen.point_group();
+  return QuartetCascade(
+      screen, ctx,
+      group.order() > 1 &&
+          group.asymmetry(density) <= kSymmetryTolerance * screen.threshold());
+}
+
+std::size_t QuartetCascade::count_kept() const {
+  BuildStats stats;
+  for (const ints::ScreenedPair& pr : screen_->sorted_pairs()) {
+    for_each_kept(pr.i, pr.j, stats,
+                  [](std::size_t, std::size_t, unsigned) {});
+  }
+  return stats.quartets;
+}
+
+QuartetCascade FockBuilder::begin_build(const la::Matrix& density,
+                                        const FockContext& ctx) {
   MC_CHECK(screen_ != nullptr, "builder has no Screening attached");
   stats_ = BuildStats{};
-  return QuartetCascade(*screen_, ctx);
+  QuartetCascade cascade = QuartetCascade::for_density(*screen_, density, ctx);
+  stats_.group_order = cascade.group_order();
+  return cascade;
 }
 
 namespace {
@@ -85,9 +110,9 @@ struct MatrixRoute {
 
 void scatter_quartet(const basis::BasisSet& bs, std::size_t si,
                      std::size_t sj, std::size_t sk, std::size_t sl,
-                     const double* vals, const la::Matrix& d,
-                     la::Matrix& g) {
-  scatter_updates(bs, si, sj, sk, sl, vals, MatrixRoute{d, g});
+                     unsigned weight, const double* vals,
+                     const la::Matrix& d, la::Matrix& g) {
+  scatter_updates(bs, si, sj, sk, sl, weight, vals, MatrixRoute{d, g});
 }
 
 void scatter_batch(const basis::BasisSet& bs, ints::QuartetBatch& batch,
@@ -96,7 +121,8 @@ void scatter_batch(const basis::BasisSet& bs, ints::QuartetBatch& batch,
   const MatrixRoute route{d, g};
   for (std::size_t idx = 0; idx < batch.size(); ++idx) {
     const ints::QuartetBatch::Entry& e = batch.quartets()[idx];
-    scatter_updates(bs, e.si, e.sj, e.sk, e.sl, batch.result(idx), route);
+    scatter_updates(bs, e.si, e.sj, e.sk, e.sl, e.weight, batch.result(idx),
+                    route);
   }
   batch.clear();
 }

@@ -22,9 +22,14 @@
 // builder is only a distribution plus an accumulation target (DESIGN.md
 // section 9.4):
 //   * QuartetCascade -- which quartets survive: the static Schwarz bound,
-//     then the density-weighted bound, at pair and quartet level;
+//     then the density-weighted bound, at pair and quartet level, then --
+//     when the density is invariant under the basis's point group -- one
+//     representative per symmetry orbit (DESIGN.md section 9.6);
 //   * scatter_updates -- the six updates of paper eqs. 2a-2f, one
 //     arithmetic in one order, written through a builder-supplied route;
+//   * QuartetCascade::project -- turns the orbit-weighted skeleton of a
+//     symmetry-unique build into the full one (a no-op in C1), so build()
+//     keeps the contract above;
 //   * BuildStats -- what a build counts, reported by the base's getters.
 
 #include <algorithm>
@@ -91,7 +96,10 @@ struct FockContext {
 /// The counters of one build on one rank. Every screened builder runs the
 /// same QuartetCascade over the same quartet set, so the rank-summed
 /// quartets and kills are equal across algorithms and rank counts; only
-/// pairs_claimed counts each algorithm's own task unit.
+/// pairs_claimed counts each algorithm's own task unit. Kills count C1
+/// quartets in a symmetry-unique build too, so quartets +
+/// symmetry_skipped + static_screened + density_screened is the number of
+/// quartets a C1 build of the same density and context classifies.
 struct BuildStats {
   /// MPI-level tasks (bra pairs, or bra shells for private Fock) claimed.
   std::size_t pairs_claimed = 0;
@@ -101,6 +109,12 @@ struct BuildStats {
   std::size_t static_screened = 0;
   /// Quartets that passed the static bound but not the density bound.
   std::size_t density_screened = 0;
+  /// Quartets that passed both bounds but were not computed because
+  /// another member of their symmetry orbit carries them.
+  std::size_t symmetry_skipped = 0;
+  /// Order of the point group the build used: 1 in C1, also when the
+  /// density was not invariant under the basis's group.
+  int group_order = 1;
   /// Per-OpenMP-thread split of `quartets` (one entry when single-threaded).
   std::vector<std::size_t> thread_quartets;
   /// Density-tile reads served by the rank-local cache / fetched remotely.
@@ -113,6 +127,7 @@ struct BuildStats {
     quartets += t.quartets;
     static_screened += t.static_screened;
     density_screened += t.density_screened;
+    symmetry_skipped += t.symmetry_skipped;
     thread_quartets.push_back(t.quartets);
   }
 };
@@ -137,56 +152,151 @@ inline std::size_t kl_count(std::size_t i, std::size_t j) {
   return i * (i + 1) / 2 + j + 1;
 }
 
-/// Which quartets a build computes (DESIGN.md section 9.1): the static
-/// Schwarz bound, then -- for a weighted context -- the density-weighted
-/// bound, at bra-pair level and at quartet level. Built once per build();
-/// every screened builder asks it, so the computed set and the counters
-/// do not depend on the algorithm.
+/// Largest density asymmetry (PointGroup::asymmetry) a build tolerates
+/// and still runs symmetry-unique, in units of the Schwarz threshold:
+/// with the default 1e-10 threshold, densities invariant to 1e-12 use the
+/// group. An asymmetry that small moves no quartet's contribution by more
+/// than the screening already neglects (DESIGN.md section 9.6).
+inline constexpr double kSymmetryTolerance = 1e-2;
+
+/// Which quartets a build computes (DESIGN.md sections 9.1 and 9.6): the
+/// static Schwarz bound, then -- for a weighted context -- the
+/// density-weighted bound, at bra-pair level and at quartet level, then --
+/// for a symmetry-unique build -- one representative per orbit of the
+/// point group, computed with its orbit size as a weight. Built once per
+/// build(); every screened builder asks it, so the computed set and the
+/// counters do not depend on the algorithm.
 class QuartetCascade {
  public:
+  /// A C1 cascade, or with `symmetric` a symmetry-unique one over the
+  /// Screening's point group (C1 still if that group is trivial).
   /// Throws mc::Error if a weighted `ctx` was made for another basis
   /// (its block norms would be indexed with this basis's shells).
-  QuartetCascade(const ints::Screening& screen, const FockContext& ctx);
+  QuartetCascade(const ints::Screening& screen, const FockContext& ctx,
+                 bool symmetric = false);
 
-  /// Can any quartet under bra pair (i, j) survive? Static q_ij * qmax
-  /// bound, then the density pair bound q_ij * qmax * 4*dmax_max, which
-  /// dominates every quartet bound below it.
-  [[nodiscard]] bool keep_pair(std::size_t i, std::size_t j) const {
-    return screen_->keep_pair(i, j) &&
-           (!weighted_ || screen_->keep_pair(i, j, pair_dmax_, scale_));
+  /// The cascade a build of `density` runs: symmetry-unique under the
+  /// Screening's point group if the density is invariant under it within
+  /// kSymmetryTolerance times the Schwarz threshold, C1 otherwise. Every
+  /// rank of a distributed build passes the same density, so every rank
+  /// takes the same decision.
+  static QuartetCascade for_density(const ints::Screening& screen,
+                                    const la::Matrix& density,
+                                    const FockContext& ctx);
+
+  /// |G| of the group in use (1 = C1).
+  [[nodiscard]] int group_order() const {
+    return group_ != nullptr ? group_->order() : 1;
   }
 
-  /// Does quartet (i,j|k,l) survive? Counts the outcome into `stats`: a
-  /// static kill, a density kill, or a computed quartet.
-  bool keep(std::size_t i, std::size_t j, std::size_t k, std::size_t l,
-            BuildStats& stats) const {
+  /// Can bra pair (i, j) carry a computed quartet? Static q_ij * qmax
+  /// bound, then the density pair bound q_ij * qmax * 4*dmax_max, which
+  /// dominates every quartet bound below it, then -- symmetry-unique --
+  /// the pair must be the largest of its orbit.
+  [[nodiscard]] bool keep_pair(std::size_t i, std::size_t j) const {
+    return pair_bounds(i, j) &&
+           (group_ == nullptr || group_->unique_pair(i, j));
+  }
+  /// keep_pair, counting the quartets of a pair that passes the bounds but
+  /// is dropped for symmetry into `stats` as a C1 build classifies them.
+  bool keep_pair(std::size_t i, std::size_t j, BuildStats& stats) const {
+    if (!pair_bounds(i, j)) return false;
+    if (group_ == nullptr || group_->unique_pair(i, j)) return true;
+    for_each_kl(i, j, [&](std::size_t k, std::size_t l) {
+      count_dropped(i, j, k, l, stats);
+    });
+    return false;
+  }
+
+  /// Does quartet (i,j|k,l) of a kept bra pair survive? Returns the weight
+  /// to compute it with -- 1 in C1, its orbit size for an orbit's
+  /// representative -- or 0 when it is dropped. Counts the outcome into
+  /// `stats`: a static kill, a density kill, a symmetry skip, or a
+  /// computed quartet.
+  unsigned keep(std::size_t i, std::size_t j, std::size_t k, std::size_t l,
+                BuildStats& stats) const {
     if (!screen_->keep(i, j, k, l)) {
       ++stats.static_screened;
-      return false;
+      return 0;
     }
     if (weighted_ && !screen_->keep(i, j, k, l,
                                     ctx_->quartet_dmax(i, j, k, l), scale_)) {
       ++stats.density_screened;
-      return false;
+      return 0;
+    }
+    unsigned orbit = 1;
+    if (group_ != nullptr) {
+      orbit = group_->representative_orbit(i, j, k, l);
+      if (orbit == 0) {
+        ++stats.symmetry_skipped;
+        return 0;
+      }
     }
     ++stats.quartets;
-    return true;
+    return orbit;
   }
 
-  /// fn(k, l) for every kept quartet of bra pair (i, j), in for_each_kl
-  /// order; nothing (and nothing counted) if the pair prescreen fails.
+  /// fn(k, l, weight) for every kept quartet of bra pair (i, j), in
+  /// for_each_kl order; a pair keep_pair drops runs no fn.
   template <typename Fn>
   void for_each_kept(std::size_t i, std::size_t j, BuildStats& stats,
                      Fn&& fn) const {
-    if (!keep_pair(i, j)) return;
+    if (!keep_pair(i, j, stats)) return;
     for_each_kl(i, j, [&](std::size_t k, std::size_t l) {
-      if (keep(i, j, k, l, stats)) fn(k, l);
+      if (const unsigned w = keep(i, j, k, l, stats)) fn(k, l, w);
     });
   }
 
+  /// for_each_kept restricted to ket shell k, l in [0, k == i ? j : k]:
+  /// fn(l, weight). The private-Fock builder's (j, k) task.
+  template <typename Fn>
+  void for_each_kept_in_row(std::size_t i, std::size_t j, std::size_t k,
+                            BuildStats& stats, Fn&& fn) const {
+    if (!pair_bounds(i, j)) return;
+    const bool unique = group_ == nullptr || group_->unique_pair(i, j);
+    const std::size_t lmax = (k == i) ? j : k;
+    for (std::size_t l = 0; l <= lmax; ++l) {
+      if (!unique) {
+        count_dropped(i, j, k, l, stats);
+      } else if (const unsigned w = keep(i, j, k, l, stats)) {
+        fn(l, w);
+      }
+    }
+  }
+
+  /// Turn the skeleton a symmetry-unique build accumulated into the full
+  /// one (PointGroup::project); a no-op in C1. Call once on the reduced,
+  /// replicated G.
+  void project(la::Matrix& g) const {
+    if (group_ != nullptr) group_->project(g);
+  }
+
+  /// Quartets a build with this cascade computes over the Screening's
+  /// pair list (summed over ranks). O(Nshells^4/8).
+  [[nodiscard]] std::size_t count_kept() const;
+
  private:
+  [[nodiscard]] bool pair_bounds(std::size_t i, std::size_t j) const {
+    return screen_->keep_pair(i, j) &&
+           (!weighted_ || screen_->keep_pair(i, j, pair_dmax_, scale_));
+  }
+  /// Count one quartet of a pair dropped for symmetry as C1 would.
+  void count_dropped(std::size_t i, std::size_t j, std::size_t k,
+                     std::size_t l, BuildStats& stats) const {
+    if (!screen_->keep(i, j, k, l)) {
+      ++stats.static_screened;
+    } else if (weighted_ &&
+               !screen_->keep(i, j, k, l, ctx_->quartet_dmax(i, j, k, l),
+                              scale_)) {
+      ++stats.density_screened;
+    } else {
+      ++stats.symmetry_skipped;
+    }
+  }
+
   const ints::Screening* screen_;
   const FockContext* ctx_;
+  const ints::PointGroup* group_;  ///< null in C1
   bool weighted_;
   double pair_dmax_;  ///< 4 * ctx.dmax_max
   double scale_;
@@ -212,9 +322,21 @@ class FockBuilder {
     return stats_.quartets;
   }
   /// Quartets that passed static Schwarz screening but were killed by the
-  /// density-weighted bound (0 for trivial contexts).
+  /// density-weighted bound (0 for trivial contexts). C1 quartets in a
+  /// symmetry-unique build too, so run_rhf's error estimate is the C1
+  /// one.
   [[nodiscard]] virtual std::size_t last_density_screened() const {
     return stats_.density_screened;
+  }
+  /// Quartets that survived screening but were carried by their symmetry
+  /// orbit's representative instead of computed (0 in C1).
+  [[nodiscard]] virtual std::size_t last_symmetry_skipped() const {
+    return stats_.symmetry_skipped;
+  }
+  /// Order of the point group the last build used (1 = C1, also when the
+  /// density was not invariant under the basis's group).
+  [[nodiscard]] virtual int last_group_order() const {
+    return stats_.group_order;
   }
   /// Quartets killed by the static Schwarz bound. Every builder runs the
   /// same QuartetCascade over the same pairs, so the rank-summed count is
@@ -234,11 +356,15 @@ class FockBuilder {
       const {
     return stats_.thread_quartets;
   }
-  /// Exact static-survivor quartet count of the attached screening -- the
-  /// number a trivial-context build must compute (summed over ranks).
-  /// O(Nshells^4/8); profiling-time use only. 0 = unknown.
+  /// Quartets a trivial-context build of a density invariant under the
+  /// basis's point group computes (summed over ranks): the static
+  /// survivors, one per symmetry orbit. O(Nshells^4/8); profiling-time use
+  /// only. 0 = unknown.
   [[nodiscard]] virtual std::size_t screening_predicted_quartets() const {
-    return screen_ != nullptr ? screen_->count_surviving_quartets() : 0;
+    if (screen_ == nullptr) return 0;
+    const FockContext trivial;
+    return QuartetCascade(*screen_, trivial, /*symmetric=*/true)
+        .count_kept();
   }
   /// Schwarz threshold of the attached Screening (0 = unscreened builder);
   /// the SCF drivers' incremental error estimate scales with it.
@@ -259,10 +385,11 @@ class FockBuilder {
   FockBuilder() = default;
   explicit FockBuilder(const ints::Screening& screen) : screen_(&screen) {}
 
-  /// Zeroes stats_ and returns this build's cascade. Call first in build(),
-  /// before any collective: a context from another basis throws on every
-  /// rank alike.
-  [[nodiscard]] QuartetCascade begin_build(const FockContext& ctx);
+  /// Zeroes stats_ and returns this build's cascade
+  /// (QuartetCascade::for_density). Call first in build(), before any
+  /// collective: a context from another basis throws on every rank alike.
+  [[nodiscard]] QuartetCascade begin_build(const la::Matrix& density,
+                                           const FockContext& ctx);
 
   const ints::Screening* screen_ = nullptr;
   BuildStats stats_;
@@ -279,7 +406,9 @@ inline double quartet_degeneracy(std::size_t si, std::size_t sj,
 }
 
 /// The six updates of one computed quartet, paper eqs. 2a-2f: with
-/// X = w*v/2 (w the degeneracy), F_ij += X D_kl and F_kl += X D_ij
+/// X = w*v/2 (w the degeneracy times the quartet's cascade weight -- 1 in
+/// C1, its symmetry orbit size in a symmetry-unique build; both powers of
+/// two, so the product is exact), F_ij += X D_kl and F_kl += X D_ij
 /// (Coulomb), F_ik, F_jl, F_il, F_jk -= X/4 D_jl, D_ik, D_jk, D_il
 /// (exchange). `vals` is the [a][b][c][d] batch over the shells' Cartesian
 /// components. Every builder writes them here, in this order, so builders
@@ -293,14 +422,16 @@ inline double quartet_degeneracy(std::size_t si, std::size_t sj,
 template <typename Route>
 void scatter_updates(const basis::BasisSet& bs, std::size_t si,
                      std::size_t sj, std::size_t sk, std::size_t sl,
-                     const double* vals, const Route& route) {
+                     unsigned weight, const double* vals,
+                     const Route& route) {
   const basis::Shell& shi = bs.shell(si);
   const basis::Shell& shj = bs.shell(sj);
   const basis::Shell& shk = bs.shell(sk);
   const basis::Shell& shl = bs.shell(sl);
   const int ni = shi.nfunc(), nj = shj.nfunc(), nk = shk.nfunc(),
             nl = shl.nfunc();
-  const double w = quartet_degeneracy(si, sj, sk, sl);
+  const double w =
+      quartet_degeneracy(si, sj, sk, sl) * static_cast<double>(weight);
 
   std::size_t idx = 0;
   for (int a = 0; a < ni; ++a) {
@@ -336,10 +467,12 @@ void scatter_updates(const basis::BasisSet& bs, std::size_t si,
 /// scatter_updates of one quartet into a single replicated matrix g.
 void scatter_quartet(const basis::BasisSet& bs, std::size_t si,
                      std::size_t sj, std::size_t sk, std::size_t sl,
-                     const double* vals, const la::Matrix& d, la::Matrix& g);
+                     unsigned weight, const double* vals,
+                     const la::Matrix& d, la::Matrix& g);
 
-/// Evaluate `batch`, scatter every entry into g in discovery order (so G
-/// matches the per-quartet scalar path bitwise), then clear it.
+/// Evaluate `batch`, scatter every entry (with its weight) into g in
+/// discovery order (so G matches the per-quartet scalar path bitwise),
+/// then clear it.
 void scatter_batch(const basis::BasisSet& bs, ints::QuartetBatch& batch,
                    const la::Matrix& d, la::Matrix& g);
 

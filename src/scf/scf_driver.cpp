@@ -325,6 +325,7 @@ ScfResult run_rhf(const chem::Molecule& mol, const basis::BasisSet& bs,
       rm.quartets = builder.last_quartets_computed();
       rm.static_screened = builder.last_static_screened();
       rm.density_screened = builder.last_density_screened();
+      rm.symmetry_skipped = builder.last_symmetry_skipped();
       rm.thread_quartets = builder.last_thread_quartets();
       rm.tile_hits = builder.last_tile_cache_hits();
       rm.tile_misses = builder.last_tile_cache_misses();
@@ -357,8 +358,10 @@ ScfResult run_rhf(const chem::Molecule& mol, const basis::BasisSet& bs,
         rec.quartets = info.quartets_computed;
         rec.density_screened = info.density_screened;
         rec.screening_predicted_quartets = predicted_quartets;
+        rec.group_order = builder.last_group_order();
         for (const obs::RankIterationMetrics& r : ranks) {
           rec.static_screened += r.static_screened;
+          rec.symmetry_skipped += r.symmetry_skipped;
           const int nthreads = static_cast<int>(r.thread_quartets.size());
           rec.nthreads = std::max(rec.nthreads, nthreads);
         }

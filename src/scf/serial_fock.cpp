@@ -10,7 +10,7 @@ namespace mc::scf {
 void SerialFockBuilder::build(const la::Matrix& density, la::Matrix& g,
                               const FockContext& ctx) {
   MC_OBS_TRACE("fock:serial");
-  const QuartetCascade cascade = begin_build(ctx);
+  const QuartetCascade cascade = begin_build(density, ctx);
   const basis::BasisSet& bs = eri_->basis_set();
 
   // Survivors queue into the batch and are digested in discovery order at
@@ -24,18 +24,20 @@ void SerialFockBuilder::build(const la::Matrix& density, la::Matrix& g,
   for (const ints::ScreenedPair& pr : screen_->sorted_pairs()) {
     ++stats_.pairs_claimed;
     cascade.for_each_kept(
-        pr.i, pr.j, stats_, [&](std::size_t k, std::size_t l) {
+        pr.i, pr.j, stats_, [&](std::size_t k, std::size_t l, unsigned w) {
           if (scalar) {
             ints::ensure_batch_size(vals, eri_->batch_size(pr.i, pr.j, k, l));
             eri_->compute(pr.i, pr.j, k, l, vals.data());
-            scatter_quartet(bs, pr.i, pr.j, k, l, vals.data(), density, g);
+            scatter_quartet(bs, pr.i, pr.j, k, l, w, vals.data(), density,
+                            g);
             return;
           }
-          batch.add(pr.i, pr.j, k, l);
+          batch.add(pr.i, pr.j, k, l, 0, w);
           if (batch.full()) scatter_batch(bs, batch, density, g);
         });
   }
   scatter_batch(bs, batch, density, g);
+  cascade.project(g);
   stats_.thread_quartets = {stats_.quartets};
 }
 

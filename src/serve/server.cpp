@@ -1,5 +1,7 @@
 #include "serve/server.hpp"
 
+#include <omp.h>
+
 #include <exception>
 #include <utility>
 
@@ -139,6 +141,11 @@ void ScfJobServer::run_one(QueuedJob job, int world) {
   rec.setup_cache_hit = setup != nullptr;
   try {
     if (setup == nullptr) {
+      // The world thread lives as long as the server: size its OpenMP
+      // team to the job's builder first, as run_parallel_scf does on its
+      // ranks, or the Screening sweep forks one thread per CPU that idles
+      // from then on.
+      omp_set_num_threads(core::builder_threads(spec.algorithm, spec.nthreads));
       setup = std::make_shared<const ScfSetup>(build_setup(
           spec.mol, spec.basis, spec.basis_per_atom, spec.schwarz_threshold));
       setup_cache_.put(setup_key, setup);

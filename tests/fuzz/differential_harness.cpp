@@ -254,7 +254,6 @@ SampleReport DifferentialHarness::run(const FuzzSample& sample) const {
     rep.nshells = bs.nshells();
     const ints::EriEngine eri(bs);
     const ints::Screening screen(eri, sample.schwarz_threshold);
-    rep.survivors = screen.count_surviving_quartets();
 
     // Densities: core guess, and the delta to the next Roothaan iterate
     // (the incremental build's input), exactly as tests/fock_fixture.hpp
@@ -263,6 +262,11 @@ SampleReport DifferentialHarness::run(const FuzzSample& sample) const {
     la::Matrix s = ints::overlap_matrix(bs);
     la::Matrix x = la::canonical_orthogonalizer(s);
     la::Matrix d = scf::core_guess_density(h, x, sample.nocc);
+    // What a full build of d computes: the static survivors, one per
+    // symmetry orbit when d is invariant under the sample's point group.
+    rep.survivors =
+        scf::QuartetCascade::for_density(screen, d, scf::FockContext{})
+            .count_kept();
 
     // Reference: the serial *scalar* ERI path (batch capacity 0).
     scf::SerialFockBuilder scalar(eri, screen, /*batch_capacity=*/0);
@@ -291,12 +295,18 @@ SampleReport DifferentialHarness::run(const FuzzSample& sample) const {
     scalar.build(d_delta, g_ref_delta, delta_ctx);
     const std::size_t ref_quartets_delta = scalar.last_quartets_computed();
     const std::size_t ref_screened_delta = scalar.last_density_screened();
+    const std::size_t ref_skipped_delta = scalar.last_symmetry_skipped();
     ++rep.engines_run;
-    if (ref_quartets_delta + ref_screened_delta > rep.survivors) {
+    // Kills and symmetry skips count C1 quartets, so the three together
+    // stay within the C1 static survivors.
+    if (ref_quartets_delta + ref_skipped_delta + ref_screened_delta >
+        screen.count_surviving_quartets()) {
       std::ostringstream os;
       os << "serial-scalar delta: computed " << ref_quartets_delta
+         << " + symmetry-skipped " << ref_skipped_delta
          << " + density-screened " << ref_screened_delta
-         << " exceeds the static survivor count " << rep.survivors;
+         << " exceeds the static survivor count "
+         << screen.count_surviving_quartets();
       rep.failures.push_back(os.str());
     }
 

@@ -34,7 +34,9 @@ struct SampleReport {
   FuzzSample sample;
   std::size_t nbf = 0;
   std::size_t nshells = 0;
-  std::size_t survivors = 0;     ///< static-screening surviving quartets
+  /// Quartets a full build of the core guess computes: the static
+  /// survivors, one per symmetry orbit for a symmetric sample.
+  std::size_t survivors = 0;
   std::size_t engines_run = 0;   ///< builder configurations exercised
   std::uint64_t worst_ulps = 0;  ///< worst passing ULP gap seen
   std::vector<std::string> failures;

@@ -144,7 +144,9 @@ TEST_P(DistFockGrid, ClaimLoopClaimsEverySortedPairOnce) {
     quartets += b.quartets;
   }
   EXPECT_EQ(pairs, fx.screen.sorted_pairs().size());
-  EXPECT_EQ(quartets, fx.screen.count_surviving_quartets());
+  EXPECT_EQ(quartets, scf::QuartetCascade::for_density(fx.screen, fx.d,
+                                                       scf::FockContext{})
+                          .count_kept());
 }
 
 TEST_P(DistFockGrid, BuildReleasesItsTilesPanelsAndWindows) {
@@ -270,7 +272,10 @@ TEST(SharedFock, LazyFlushingFlushesPerIChangeNotPerPair) {
   for (const bool delta : {false, true}) {
     const scf::FockContext& ctx = delta ? fx.delta_ctx : trivial;
     const la::Matrix& d = delta ? fx.d_delta : fx.d;
-    const scf::QuartetCascade cascade(fx.screen, ctx);
+    // The builder's own cascade: symmetry-unique when d is invariant, in
+    // which case only the largest pair of each orbit is kept.
+    const scf::QuartetCascade cascade =
+        scf::QuartetCascade::for_density(fx.screen, d, ctx);
     std::size_t kept = 0;
     std::size_t runs = 0;
     long last_i = -1;

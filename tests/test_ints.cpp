@@ -1256,3 +1256,210 @@ TEST(EriBatch, ClassCountersTrackQuartetsAndBoysElements) {
 
 }  // namespace
 }  // namespace mc::ints
+
+// ---- PointGroup (DESIGN.md section 9.6) ----
+
+namespace {
+
+/// Canonical pair index, either order.
+std::size_t canonical_pair(std::size_t a, std::size_t b) {
+  return a >= b ? a * (a + 1) / 2 + b : b * (b + 1) / 2 + a;
+}
+
+}  // namespace
+
+TEST(PointGroup, DetectsTheGroupOfEveryBenchmarkAndServeMolecule) {
+  // Every molecule the end-to-end benchmark and the job server run is
+  // symmetric in its builder frame; planar ones get their plane, and the
+  // fused SP shells of STO-3G map like any other shell.
+  namespace b = mc::chem::builders;
+  struct Row {
+    const char* what;
+    mc::chem::Molecule mol;
+    const char* basis;
+    int order;
+    const char* ops;
+  };
+  const Row rows[] = {
+      {"water", b::water(), "STO-3G", 4, "E sigma_yz sigma_xz C2z"},
+      {"water", b::water(), "6-31G(d)", 4, "E sigma_yz sigma_xz C2z"},
+      {"methane", b::methane(), "STO-3G", 4, "E C2z C2y C2x"},
+      {"methane", b::methane(), "6-31G(d)", 4, "E C2z C2y C2x"},
+      {"ethane", b::alkane(2), "STO-3G", 4, "E C2z sigma_xy i"},
+      {"ethane", b::alkane(2), "6-31G(d)", 4, "E C2z sigma_xy i"},
+      {"propane", b::alkane(3), "STO-3G", 4, "E sigma_yz sigma_xy C2y"},
+      {"pentane", b::alkane(5), "STO-3G", 4, "E sigma_yz sigma_xy C2y"},
+      {"benzene", b::benzene(), "STO-3G", 8,
+       "E sigma_yz sigma_xz C2z sigma_xy C2y C2x i"},
+      {"h2", b::h2(), "STO-3G", 8,
+       "E sigma_yz sigma_xz C2z sigma_xy C2y C2x i"},
+  };
+  for (const Row& r : rows) {
+    const auto bs = mc::basis::BasisSet::build(r.mol, r.basis);
+    const auto pg = mc::ints::PointGroup::detect(bs);
+    EXPECT_EQ(pg.order(), r.order) << r.what << "/" << r.basis;
+    EXPECT_EQ(pg.describe(), r.ops) << r.what << "/" << r.basis;
+  }
+}
+
+TEST(PointGroup, BrokenSymmetryDetectsTheSmallerGroup) {
+  namespace b = mc::chem::builders;
+  const mc::chem::Molecule water = b::water();
+  // Jittered (as the job server's cold jitter jobs are) and one hydrogen
+  // displaced by 1e-6 bohr, far outside the 1e-10 bohr tolerance: C1.
+  mc::chem::Molecule jittered;
+  const double jitter[3][3] = {{2e-3, -1e-3, 3e-3},
+                               {-4e-3, 2e-3, 1e-3},
+                               {1e-3, 3e-3, -2e-3}};
+  for (std::size_t a = 0; a < water.natoms(); ++a) {
+    const auto& at = water.atom(a);
+    jittered.add_atom(at.z, at.xyz[0] + jitter[a][0],
+                      at.xyz[1] + jitter[a][1], at.xyz[2] + jitter[a][2]);
+  }
+  mc::chem::Molecule displaced;
+  for (std::size_t a = 0; a < water.natoms(); ++a) {
+    const auto& at = water.atom(a);
+    displaced.add_atom(at.z, at.xyz[0],
+                       at.xyz[1] + (a == 1 ? 1e-6 : 0.0), at.xyz[2]);
+  }
+  for (const auto* mol : {&jittered, &displaced}) {
+    const auto bs = mc::basis::BasisSet::build(*mol, "6-31G(d)");
+    EXPECT_EQ(mc::ints::PointGroup::detect(bs).order(), 1);
+  }
+  // A mixed basis that tells the two hydrogens apart keeps only the
+  // molecular plane, which fixes every shell.
+  const auto mixed =
+      mc::basis::BasisSet::build_mixed(water, {"STO-3G", "6-31G", "STO-3G"});
+  const auto pg = mc::ints::PointGroup::detect(mixed);
+  EXPECT_EQ(pg.order(), 2);
+  EXPECT_EQ(pg.describe(), "E sigma_xz");
+  for (std::size_t s = 0; s < mixed.nshells(); ++s) {
+    EXPECT_EQ(pg.shell_image(1, s), s);
+  }
+}
+
+TEST(PointGroup, IntegralsAreInvariantUnderTheSignedMaps) {
+  // (g mu g nu | g la g si) s(mu) s(nu) s(la) s(si) == (mu nu | la si) for
+  // every operation: the maps and signs the Fock builders rely on are
+  // those of the integrals, d and fused SP shells included.
+  namespace b = mc::chem::builders;
+  const std::pair<mc::chem::Molecule, const char*> cases[] = {
+      {b::water(), "6-31G(d)"}, {b::alkane(2), "6-31G(d)"},
+      {b::benzene(), "STO-3G"}};
+  for (const auto& [mol, basis] : cases) {
+    const auto bs = mc::basis::BasisSet::build(mol, basis);
+    const mc::ints::EriEngine eri(bs);
+    const mc::ints::PointGroup pg = mc::ints::PointGroup::detect(bs);
+    ASSERT_GT(pg.order(), 1) << basis;
+    const std::size_t ns = bs.nshells();
+    std::vector<double> ref;
+    std::vector<double> img;
+    double worst = 0.0;
+    // A deterministic spread of quartets, all angular classes included.
+    for (std::size_t q = 0; q < 40; ++q) {
+      const std::size_t i = (7 * q + 1) % ns;
+      const std::size_t j = (3 * q + 2) % ns;
+      const std::size_t k = (5 * q + 3) % ns;
+      const std::size_t l = (11 * q) % ns;
+      mc::ints::ensure_batch_size(ref, eri.batch_size(i, j, k, l));
+      eri.compute(i, j, k, l, ref.data());
+      for (int g = 1; g < pg.order(); ++g) {
+        const std::size_t gi = pg.shell_image(g, i);
+        const std::size_t gj = pg.shell_image(g, j);
+        const std::size_t gk = pg.shell_image(g, k);
+        const std::size_t gl = pg.shell_image(g, l);
+        mc::ints::ensure_batch_size(img, eri.batch_size(gi, gj, gk, gl));
+        eri.compute(gi, gj, gk, gl, img.data());
+        const auto& si = bs.shell(i);
+        const auto& sj = bs.shell(j);
+        const auto& sk = bs.shell(k);
+        const auto& sl = bs.shell(l);
+        std::size_t idx = 0;
+        for (int a = 0; a < si.nfunc(); ++a) {
+          for (int bb = 0; bb < sj.nfunc(); ++bb) {
+            for (int c = 0; c < sk.nfunc(); ++c) {
+              for (int d = 0; d < sl.nfunc(); ++d, ++idx) {
+                const std::size_t fa = si.first_bf + a;
+                const std::size_t fb = sj.first_bf + bb;
+                const std::size_t fc = sk.first_bf + c;
+                const std::size_t fd = sl.first_bf + d;
+                const double sign =
+                    pg.function_sign(g, fa) * pg.function_sign(g, fb) *
+                    pg.function_sign(g, fc) * pg.function_sign(g, fd);
+                worst = std::max(worst, std::abs(sign * img[idx] - ref[idx]));
+              }
+            }
+          }
+        }
+      }
+    }
+    EXPECT_LT(worst, 1e-13) << basis;
+  }
+}
+
+TEST(PointGroup, RepresentativesPartitionTheCanonicalQuartets) {
+  // Every canonical quartet has exactly one representative: the orbit
+  // sizes of the representatives sum to the canonical quartet count, a
+  // representative's bra is the largest pair of its own orbit, and the
+  // unique pairs' orbits cover every pair once.
+  const auto bs = mc::basis::BasisSet::build(mc::chem::builders::alkane(3),
+                                             "STO-3G");
+  const mc::ints::PointGroup pg = mc::ints::PointGroup::detect(bs);
+  ASSERT_EQ(pg.order(), 4);
+  const std::size_t ns = bs.nshells();
+  std::size_t total = 0;
+  std::size_t covered = 0;
+  std::size_t reps = 0;
+  for (std::size_t i = 0; i < ns; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      for (std::size_t k = 0; k <= i; ++k) {
+        const std::size_t lmax = (k == i) ? j : k;
+        for (std::size_t l = 0; l <= lmax; ++l) {
+          ++total;
+          const unsigned orbit = pg.representative_orbit(i, j, k, l);
+          if (orbit == 0) continue;
+          ++reps;
+          covered += orbit;
+          EXPECT_TRUE(pg.unique_pair(i, j));
+          EXPECT_EQ(4u % orbit, 0u);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(covered, total);
+  EXPECT_LT(3 * reps, total);  // C2v: about a quarter of the quartets
+
+  std::size_t pairs = 0;
+  for (std::size_t i = 0; i < ns; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      if (!pg.unique_pair(i, j)) continue;
+      std::set<std::size_t> orbit;
+      for (int g = 0; g < pg.order(); ++g) {
+        orbit.insert(canonical_pair(pg.shell_image(g, i),
+                                    pg.shell_image(g, j)));
+      }
+      pairs += orbit.size();
+    }
+  }
+  EXPECT_EQ(pairs, ns * (ns + 1) / 2);
+}
+
+TEST(PointGroup, ProjectionMakesAnyMatrixInvariantAndFixesInvariantOnes) {
+  const auto bs = mc::basis::BasisSet::build(mc::chem::builders::water(),
+                                             "6-31G(d)");
+  const mc::ints::PointGroup pg = mc::ints::PointGroup::detect(bs);
+  const std::size_t n = bs.nbf();
+  mc::la::Matrix m(n, n);
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    m.data()[i] = std::sin(0.37 * static_cast<double>(i) + 0.1);
+  }
+  EXPECT_GT(pg.asymmetry(m), 0.1);
+  pg.project(m);
+  EXPECT_EQ(pg.asymmetry(m), 0.0);
+  mc::la::Matrix again = m;
+  pg.project(again);
+  EXPECT_LE(again.max_abs_diff(m), 1e-15);
+  // The overlap matrix is invariant already (to rounding).
+  const mc::la::Matrix s = mc::ints::overlap_matrix(bs);
+  EXPECT_LT(pg.asymmetry(s), 1e-13);
+}

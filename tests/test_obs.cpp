@@ -215,10 +215,13 @@ TEST(Metrics, IterationJsonCarriesTheSchema) {
   rec.energy = -227.5;
   rec.full_rebuild = false;
   rec.quartets = 40;
+  rec.symmetry_skipped = 77;
   rec.screening_predicted_quartets = 42;
+  rec.group_order = 8;
   obs::RankIterationMetrics r0;
   r0.rank = 0;
   r0.quartets = 10;
+  r0.symmetry_skipped = 33;
   r0.thread_quartets = {4, 6};
   obs::RankIterationMetrics r1;
   r1.rank = 1;
@@ -234,6 +237,10 @@ TEST(Metrics, IterationJsonCarriesTheSchema) {
   EXPECT_NE(json.find("\"iter\":3"), std::string::npos);
   EXPECT_NE(json.find("\"full_rebuild\":false"), std::string::npos);
   EXPECT_NE(json.find("\"screening_predicted_quartets\":42"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"symmetry_skipped\":77"), std::string::npos);
+  EXPECT_NE(json.find("\"group_order\":8"), std::string::npos);
+  EXPECT_NE(json.find("\"symmetry_skipped\":33,\"thread_quartets\":[4,6]"),
             std::string::npos);
   EXPECT_NE(json.find("\"thread_quartets\":[4,6]"), std::string::npos);
   EXPECT_NE(json.find("\"thread_quartets\":[15,15]"), std::string::npos);
@@ -257,9 +264,30 @@ struct BuildCounts {
   std::size_t quartets = 0;
   std::size_t static_screened = 0;
   std::size_t density_screened = 0;
+  std::size_t symmetry_skipped = 0;
   std::size_t thread_sum = 0;
   std::size_t pairs_claimed = 0;
+  int group_order = 0;
+
+  /// Every quartet the build classified: computed, carried by its symmetry
+  /// orbit's representative, or killed.
+  [[nodiscard]] std::size_t classified() const {
+    return quartets + symmetry_skipped + static_screened + density_screened;
+  }
 };
+
+/// The quartets a C1 build of `ctx` classifies: every canonical quartet
+/// under a bra pair the C1 pair bounds keep. Kills and symmetry skips count
+/// C1 quartets, so every build of every algorithm classifies exactly these.
+std::size_t c1_candidates(const ints::Screening& screen,
+                          const scf::FockContext& ctx) {
+  const scf::QuartetCascade c1(screen, ctx);
+  std::size_t n = 0;
+  for (const ints::ScreenedPair& pr : screen.sorted_pairs()) {
+    if (c1.keep_pair(pr.i, pr.j)) n += scf::kl_count(pr.i, pr.j);
+  }
+  return n;
+}
 
 /// Run one distributed build of `d` under `ctx` and return the
 /// rank-aggregated counters.
@@ -277,7 +305,9 @@ BuildCounts count_build(const FockFixture& fx, int nranks, const la::Matrix& d,
     total.quartets += builder->last_quartets_computed();
     total.static_screened += builder->last_static_screened();
     total.density_screened += builder->last_density_screened();
+    total.symmetry_skipped += builder->last_symmetry_skipped();
     total.pairs_claimed += builder->last_pairs_claimed();
+    total.group_order = builder->last_group_order();
     for (const std::size_t q : builder->last_thread_quartets()) {
       total.thread_sum += q;
     }
@@ -307,10 +337,32 @@ void expect_rank_invariant(const char* what, MakeBuilder&& make) {
       EXPECT_EQ(many.quartets, one.quartets) << ctx;
       EXPECT_EQ(many.static_screened, one.static_screened) << ctx;
       EXPECT_EQ(many.density_screened, one.density_screened) << ctx;
+      EXPECT_EQ(many.symmetry_skipped, one.symmetry_skipped) << ctx;
       EXPECT_EQ(many.thread_sum, many.quartets) << ctx;
     }
     EXPECT_EQ(one.thread_sum, one.quartets) << what;
+    // Water is C2v and its core guess invariant: the full build is
+    // symmetry-unique. (The fixture's delta is invariant only to about
+    // 1e-13, outside the 1e-11 threshold's tolerance, so it builds C1.)
+    // Either way every C1 candidate is classified once.
+    if (!delta) {
+      EXPECT_EQ(one.group_order, 4) << what;
+      EXPECT_GT(one.symmetry_skipped, 0u) << what;
+    }
+    EXPECT_EQ(one.classified(),
+              c1_candidates(fx.screen,
+                            delta ? fx.delta_ctx : scf::FockContext{}))
+        << what;
   }
+}
+
+/// Quartets a full build of the fixture's density computes, from the
+/// cascade's own predicate: the static survivors, one per symmetry orbit
+/// (water is C2v, so fewer than Screening::count_surviving_quartets).
+std::size_t predicted_full(const FockFixture& fx) {
+  return scf::QuartetCascade::for_density(fx.screen, fx.d,
+                                          scf::FockContext{})
+      .count_kept();
 }
 
 TEST(ObsCounters, SerialThreadSumMatchesScreeningPrediction) {
@@ -318,7 +370,8 @@ TEST(ObsCounters, SerialThreadSumMatchesScreeningPrediction) {
   scf::SerialFockBuilder builder(fx.eri, fx.screen);
   la::Matrix g(fx.bs.nbf(), fx.bs.nbf());
   builder.build(fx.d, g);
-  const std::size_t predicted = fx.screen.count_surviving_quartets();
+  EXPECT_EQ(builder.last_group_order(), 4);
+  const std::size_t predicted = predicted_full(fx);
   EXPECT_EQ(builder.last_quartets_computed(), predicted);
   std::size_t thread_sum = 0;
   for (const std::size_t q : builder.last_thread_quartets()) thread_sum += q;
@@ -331,8 +384,8 @@ TEST(ObsCounters, MpiThreadSumMatchesScreeningPrediction) {
   const BuildCounts c = count_distributed(fx, 1, false, [&](par::Ddi& ddi) {
     return std::make_unique<FockBuilderMpi>(fx.eri, fx.screen, ddi);
   });
-  EXPECT_EQ(c.thread_sum, fx.screen.count_surviving_quartets());
-  EXPECT_EQ(c.quartets, fx.screen.count_surviving_quartets());
+  EXPECT_EQ(c.thread_sum, predicted_full(fx));
+  EXPECT_EQ(c.quartets, predicted_full(fx));
 }
 
 TEST(ObsCounters, PrivateFockThreadSumMatchesScreeningPrediction) {
@@ -342,8 +395,8 @@ TEST(ObsCounters, PrivateFockThreadSumMatchesScreeningPrediction) {
     opt.nthreads = 3;
     return std::make_unique<FockBuilderPrivate>(fx.eri, fx.screen, ddi, opt);
   });
-  EXPECT_EQ(c.thread_sum, fx.screen.count_surviving_quartets());
-  EXPECT_EQ(c.quartets, fx.screen.count_surviving_quartets());
+  EXPECT_EQ(c.thread_sum, predicted_full(fx));
+  EXPECT_EQ(c.quartets, predicted_full(fx));
 }
 
 TEST(ObsCounters, SharedFockThreadSumMatchesScreeningPrediction) {
@@ -353,8 +406,8 @@ TEST(ObsCounters, SharedFockThreadSumMatchesScreeningPrediction) {
     opt.nthreads = 3;
     return std::make_unique<FockBuilderShared>(fx.eri, fx.screen, ddi, opt);
   });
-  EXPECT_EQ(c.thread_sum, fx.screen.count_surviving_quartets());
-  EXPECT_EQ(c.quartets, fx.screen.count_surviving_quartets());
+  EXPECT_EQ(c.thread_sum, predicted_full(fx));
+  EXPECT_EQ(c.quartets, predicted_full(fx));
 }
 
 TEST(ObsCounters, MpiCountersInvariantUnderRankCount) {
@@ -387,8 +440,8 @@ TEST(ObsCounters, DistThreadSumMatchesScreeningPrediction) {
   const BuildCounts c = count_distributed(fx, 1, false, [&](par::Ddi& ddi) {
     return std::make_unique<FockBuilderDist>(fx.eri, fx.screen, ddi);
   });
-  EXPECT_EQ(c.thread_sum, fx.screen.count_surviving_quartets());
-  EXPECT_EQ(c.quartets, fx.screen.count_surviving_quartets());
+  EXPECT_EQ(c.thread_sum, predicted_full(fx));
+  EXPECT_EQ(c.quartets, predicted_full(fx));
 }
 
 TEST(ObsCounters, DistCountersInvariantUnderRankCount) {
@@ -457,7 +510,12 @@ TEST(ObsCounters, AllBuildersScreenTheSameQuartets) {
     scf::FockContext ctx;
   };
   std::vector<Input> inputs;
-  inputs.push_back({"full", 0.0, fx.d, scf::FockContext{}});
+  // The core guess is invariant under D2h only to about 5e-13, which the
+  // fixture's 1e-11 threshold does not tolerate; projected, it is exactly
+  // invariant, so every input builds symmetry-unique.
+  la::Matrix d_full = fx.d;
+  fx.screen.point_group().project(d_full);
+  inputs.push_back({"full", 0.0, d_full, scf::FockContext{}});
   for (const double scale : {1e-8, 1e-10}) {
     Input in{scale == 1e-8 ? "delta x 1e-8" : "delta x 1e-10", scale,
              fx.d_delta, {}};
@@ -496,8 +554,16 @@ TEST(ObsCounters, AllBuildersScreenTheSameQuartets) {
     scf::SerialFockBuilder serial(fx.eri, fx.screen);
     la::Matrix g(fx.bs.nbf(), fx.bs.nbf());
     serial.build(in.d, g, in.ctx);
+    EXPECT_EQ(serial.last_group_order(), 8) << in.what;
     EXPECT_GT(serial.last_static_screened(), 0u);
     EXPECT_EQ(serial.last_density_screened() > 0, in.scale > 0.0);
+    const std::size_t candidates = c1_candidates(fx.screen, in.ctx);
+    EXPECT_EQ(serial.last_quartets_computed() +
+                  serial.last_symmetry_skipped() +
+                  serial.last_static_screened() +
+                  serial.last_density_screened(),
+              candidates)
+        << in.what;
     if (in.scale == 1e-10) {
       const scf::QuartetCascade cascade(fx.screen, in.ctx);
       std::size_t pairs_killed = 0;
@@ -515,6 +581,9 @@ TEST(ObsCounters, AllBuildersScreenTheSameQuartets) {
         EXPECT_EQ(c.static_screened, serial.last_static_screened()) << where;
         EXPECT_EQ(c.density_screened, serial.last_density_screened())
             << where;
+        EXPECT_EQ(c.symmetry_skipped, serial.last_symmetry_skipped())
+            << where;
+        EXPECT_EQ(c.classified(), candidates) << where;
         EXPECT_EQ(c.thread_sum, c.quartets) << where;
       }
     }
@@ -635,6 +704,9 @@ TEST(Profile, SerialSessionEmitsMetricsAndRestoresFlags) {
   EXPECT_NE(line.find("\"full_rebuild\":true"), std::string::npos);
   EXPECT_EQ(extract_size(line, "quartets"),
             extract_size(line, "screening_predicted_quartets"));
+  // Water is C2v, and the atomic start is invariant under it.
+  EXPECT_EQ(extract_size(line, "group_order"), 4u);
+  EXPECT_GT(extract_size(line, "symmetry_skipped"), 0u);
 
   std::ifstream trace(base + ".trace.json");
   ASSERT_TRUE(trace.good());

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
@@ -220,6 +221,51 @@ TEST(ScfJobServer, SmokeBatchRunsConcurrentlyAcrossWorlds) {
   EXPECT_EQ(s.aborted, 0);
   EXPECT_GE(server.worlds_used(), 2);
   EXPECT_EQ(server.records().size(), 8u);
+}
+
+/// Threads of this process (entries of /proc/self/task), or -1 where that
+/// directory does not exist.
+long process_threads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  long n = 0;
+  for (; it != std::filesystem::directory_iterator(); ++it) ++n;
+  return n;
+}
+
+TEST(ScfJobServer, ColdSetupsLeaveNoIdleOpenMpTeams) {
+  // A cold job builds its setup on the world thread, which lives as long
+  // as the server. Its Screening sweep must run at the job's builder
+  // width (1 here), not fork a default team of one thread per CPU that
+  // then idles: after four cold jobs on distinct molecules the server
+  // holds its world threads and nothing more.
+  const long before = process_threads();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/task on this host";
+  mc::serve::ServerOptions opt;
+  opt.nworlds = 2;
+  mc::serve::ScfJobServer server(opt);
+
+  namespace b = mc::chem::builders;
+  const mc::chem::Molecule mols[] = {b::water(), b::methane(), b::h2(),
+                                     b::alkane(2)};
+  std::vector<long> ids;
+  for (int j = 0; j < 4; ++j) {
+    mc::serve::JobSpec spec;
+    spec.mol = mols[j];
+    spec.algorithm = j % 2 == 0 ? mc::core::ScfAlgorithm::kSharedFock
+                                : mc::core::ScfAlgorithm::kMpiOnly;
+    const auto r = server.submit(spec);
+    ASSERT_TRUE(r.accepted) << r.reason;
+    ids.push_back(r.job_id);
+  }
+  for (const long id : ids) {
+    const auto out = server.wait(id);
+    EXPECT_EQ(out.outcome, mc::obs::JobOutcomeKind::kConverged) << out.error;
+    EXPECT_FALSE(out.setup_cache_hit);
+  }
+  EXPECT_LE(process_threads(), before + opt.nworlds);
+  server.shutdown();
 }
 
 TEST(ScfJobServer, WarmRepeatConvergesFasterToTheSameEnergy) {
