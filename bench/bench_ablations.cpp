@@ -1,10 +1,9 @@
-// Ablations of the design choices the paper discusses in section 4.3:
-//  * lazy vs eager FI-buffer flushing (Algorithm 3's key optimization),
-//  * padding of the per-thread buffer columns (false-sharing defense),
-//  * dynamic vs static OpenMP schedule (the paper saw "no significant
-//    difference" for the private-Fock collapsed loop).
-// Real execution on this host; the shared-Fock variants run 1 rank with a
-// small team, which is where flush frequency matters most.
+// Ablation of the one design choice the paper discusses in section 4.3
+// that the builders still expose: dynamic vs static OpenMP schedule (the
+// paper saw "no significant difference" for the private-Fock collapsed
+// loop). Lazy FI flushing and the lane padding are fixed in the shared-Fock
+// builder (EXPERIMENTS.md section 4.3 has their last ablation numbers).
+// Real execution on the host; 1 rank with a 2-thread team.
 
 #include <benchmark/benchmark.h>
 
@@ -39,45 +38,20 @@ struct Setup {
   }
 };
 
-void run_shared(const mc::core::SharedFockOptions& opt, std::size_t* flushes) {
-  Setup& s = Setup::instance();
-  mc::par::run_spmd(1, [&](mc::par::Comm& comm) {
-    mc::par::Ddi ddi(comm);
-    mc::core::FockBuilderShared builder(s.eri, s.screen, ddi, opt);
-    mc::la::Matrix g(s.bs.nbf(), s.bs.nbf());
-    builder.build(s.d, g);
-    if (flushes != nullptr) *flushes = builder.last_fi_flushes();
-    benchmark::DoNotOptimize(g.data());
-  });
-}
-
-void BM_SharedFock_LazyFiFlush(benchmark::State& state) {
-  mc::core::SharedFockOptions opt;
-  opt.nthreads = 2;
-  opt.lazy_fi_flush = state.range(0) != 0;
-  std::size_t flushes = 0;
-  for (auto _ : state) run_shared(opt, &flushes);
-  state.SetLabel(opt.lazy_fi_flush ? "lazy (paper)" : "eager (ablated)");
-  state.counters["fi_flushes"] = static_cast<double>(flushes);
-}
-BENCHMARK(BM_SharedFock_LazyFiFlush)->Arg(1)->Arg(0)->Unit(
-    benchmark::kMillisecond);
-
-void BM_SharedFock_Padding(benchmark::State& state) {
-  mc::core::SharedFockOptions opt;
-  opt.nthreads = 2;
-  opt.padding_doubles = static_cast<int>(state.range(0));
-  for (auto _ : state) run_shared(opt, nullptr);
-  state.SetLabel(opt.padding_doubles ? "padded (paper)" : "no padding");
-}
-BENCHMARK(BM_SharedFock_Padding)->Arg(8)->Arg(0)->Unit(
-    benchmark::kMillisecond);
-
 void BM_SharedFock_Schedule(benchmark::State& state) {
+  Setup& s = Setup::instance();
   mc::core::SharedFockOptions opt;
   opt.nthreads = 2;
   opt.dynamic_schedule = state.range(0) != 0;
-  for (auto _ : state) run_shared(opt, nullptr);
+  for (auto _ : state) {
+    mc::par::run_spmd(1, [&](mc::par::Comm& comm) {
+      mc::par::Ddi ddi(comm);
+      mc::core::FockBuilderShared builder(s.eri, s.screen, ddi, opt);
+      mc::la::Matrix g(s.bs.nbf(), s.bs.nbf());
+      builder.build(s.d, g);
+      benchmark::DoNotOptimize(g.data());
+    });
+  }
   state.SetLabel(opt.dynamic_schedule ? "dynamic,1 (paper)" : "static");
 }
 BENCHMARK(BM_SharedFock_Schedule)->Arg(1)->Arg(0)->Unit(

@@ -1,6 +1,5 @@
 #include "basis/shell.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/constants.hpp"
@@ -13,11 +12,6 @@ double dfact(int n) {
   double r = 1.0;
   for (int k = n; k > 1; k -= 2) r *= k;
   return r;
-}
-
-double Shell::min_exponent() const {
-  MC_CHECK(!exps.empty(), "shell without primitives");
-  return *std::min_element(exps.begin(), exps.end());
 }
 
 double primitive_norm(double alpha, int i, int j, int k) {

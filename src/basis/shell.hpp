@@ -39,10 +39,6 @@ struct Shell {
 
   [[nodiscard]] int nprim() const { return static_cast<int>(exps.size()); }
   [[nodiscard]] int nfunc() const { return sp ? 4 : ncart(l); }
-
-  /// Smallest exponent: controls the spatial extent of the shell (used by
-  /// screening estimates).
-  [[nodiscard]] double min_exponent() const;
 };
 
 /// Normalization constant of a primitive Cartesian Gaussian

@@ -52,11 +52,4 @@ void write_xyz(std::ostream& out, const Molecule& mol,
   }
 }
 
-void write_xyz_file(const std::string& path, const Molecule& mol,
-                    const std::string& comment) {
-  std::ofstream f(path);
-  MC_CHECK(f.good(), "cannot open xyz file for writing: " + path);
-  write_xyz(f, mol, comment);
-}
-
 }  // namespace mc::chem

@@ -17,7 +17,5 @@ Molecule read_xyz_file(const std::string& path);
 /// Write XYZ with the given comment line.
 void write_xyz(std::ostream& out, const Molecule& mol,
                const std::string& comment = "");
-void write_xyz_file(const std::string& path, const Molecule& mol,
-                    const std::string& comment = "");
 
 }  // namespace mc::chem

@@ -79,19 +79,12 @@ TileLayout TileLayout::build(const basis::BasisSet& bs, int nranks) {
 
 /// Rank-local density tiles over the D window. A tile is fetched with one
 /// one-sided get on its first request and kept for the rest of the build,
-/// so each rank fetches each tile it reads once. Tiles whose FockContext
-/// block norms are exactly zero are served from a shared all-zero row and
-/// never fetched.
+/// so each rank fetches each tile it reads once.
 struct FockBuilderDist::DCache {
   DCache(const TileLayout& lay, par::Ddi& ddi, const par::Window& win)
-      : lay_(&lay), ddi_(&ddi), win_(&win), tiles_(lay.ntiles),
-        is_zero_(lay.ntiles, 0), zero_(lay.nbf, 0.0) {}
+      : lay_(&lay), ddi_(&ddi), win_(&win), tiles_(lay.ntiles) {}
 
   void request(std::uint32_t t) {
-    if (is_zero_[t] != 0) {
-      ++zero_hits_;
-      return;
-    }
     if (tiles_[t].data() != nullptr) {
       ++hits_;
       return;
@@ -105,7 +98,6 @@ struct FockBuilderDist::DCache {
   /// Row base pointer; the row's tile must be resident (request()ed).
   [[nodiscard]] const double* row(std::size_t r) const {
     const std::uint32_t t = lay_->row_tile[r];
-    if (is_zero_[t] != 0) return zero_.data();
     return tiles_[t].data() + (r - lay_->tile_row0[t]) * lay_->nbf;
   }
 
@@ -113,11 +105,8 @@ struct FockBuilderDist::DCache {
   par::Ddi* ddi_;
   const par::Window* win_;
   std::vector<TrackedBuffer> tiles_;
-  std::vector<std::uint8_t> is_zero_;
-  std::vector<double> zero_;  ///< one all-zero row serves every zero tile
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
-  std::size_t zero_hits_ = 0;
 };
 
 /// Rank-local F panel accumulators. A panel opens zeroed on first touch
@@ -215,7 +204,6 @@ void FockBuilderDist::build(const la::Matrix& density, la::Matrix& g,
   const basis::BasisSet& bs = eri_->basis_set();
   const std::size_t nbf = bs.nbf();
   MC_CHECK(g.rows() == nbf && g.cols() == nbf, "G shape mismatch");
-  zero_hits_ = 0;
 
   if (!layout_) {
     layout_ = std::make_unique<TileLayout>(TileLayout::build(bs, ddi_->size()));
@@ -242,28 +230,6 @@ void FockBuilderDist::build(const la::Matrix& density, la::Matrix& g,
   acc::ThreadCtx<> th(checker, /*tid=*/0);
   DCache dcache(lay, *ddi_, dwin);
   FAcc facc(lay, *ddi_, fwin, checker, th);
-
-  // Zero-tile map: a tile whose every shell-pair block norm is exactly
-  // zero contains only (+/-)0.0 entries, so reads can be served from a
-  // shared zero row without fetching (reassociation-safe: contributions
-  // of +0.0 vs -0.0 differ by at most 1 ULP in the accumulated result).
-  // This is what makes incremental builds cheap in tile traffic: most
-  // delta-density tiles go all-zero as SCF converges.
-  if (ctx.weighted()) {
-    for (std::size_t t = 0; t < lay.ntiles; ++t) {
-      bool zero = true;
-      for (std::size_t s = lay.tile_shell0[t];
-           zero && s < lay.tile_shell0[t + 1]; ++s) {
-        for (std::size_t u = 0; u < ctx.nshells; ++u) {
-          if (ctx.pair_dmax(s, u) != 0.0) {
-            zero = false;
-            break;
-          }
-        }
-      }
-      dcache.is_zero_[t] = zero ? 1 : 0;
-    }
-  }
 
   // Algorithm 1's claim loop (GAMESS dlbnext sequence: one call before
   // the loop, one per claimed pair) over the Schwarz-sorted pair list;
@@ -305,7 +271,6 @@ void FockBuilderDist::build(const la::Matrix& density, la::Matrix& g,
   stats_.thread_quartets = {stats_.quartets};
   stats_.tile_hits = dcache.hits_;
   stats_.tile_misses = dcache.misses_;
-  zero_hits_ = dcache.zero_hits_;
   checker.finalize();
 }
 

@@ -83,10 +83,6 @@ class FockBuilderDist : public scf::FockBuilder {
   void build(const la::Matrix& density, la::Matrix& g,
              const scf::FockContext& ctx) override;
 
-  /// Density-tile requests satisfied by the all-zero shortcut (tiles whose
-  /// FockContext block norms are exactly zero are never fetched).
-  [[nodiscard]] std::size_t last_zero_tile_hits() const { return zero_hits_; }
-
  private:
   struct DCache;  ///< rank-local density tiles fetched from the D window
   struct FAcc;    ///< rank-local F panel accumulators, acc-flushed
@@ -96,8 +92,6 @@ class FockBuilderDist : public scf::FockBuilder {
   const ints::EriEngine* eri_;
   par::Ddi* ddi_;
   std::unique_ptr<TileLayout> layout_;
-
-  std::size_t zero_hits_ = 0;
 };
 
 }  // namespace mc::core

@@ -28,6 +28,7 @@ void FockBuilderPrivate::build(const la::Matrix& density, la::Matrix& g,
   // absent) instead of raw shell indices -- same largest-first rationale
   // as Algorithm 1's sorted pair list, at i-shell granularity.
   const auto& bra_order = screen_->sorted_bra_shells();
+  const long nlist = static_cast<long>(bra_order.size());
   ddi_->dlb_reset();
 
   const int nt = opt_.nthreads;
@@ -47,6 +48,26 @@ void FockBuilderPrivate::build(const la::Matrix& density, la::Matrix& g,
 
   // Team-shared, read-only for the whole region.
   const acc::SharedReadOnly<const la::Matrix&> den(density);
+
+  // The master's claim: the next list position whose shell i has a pair
+  // (i, j) the cascade keeps, or one past the list. A symmetry-unique
+  // build keeps no pair of many shells; such a shell costs the team no
+  // barrier, and the master counts its pairs' quartets alone, as the
+  // team's (j, k) sweep would have.
+  const auto claim = [&]() {
+    long pos = ddi_->dlbnext();  // MPI DLB: get new I task
+    for (; pos < nlist; pos = ddi_->dlbnext()) {
+      ++stats_.pairs_claimed;
+      const std::size_t i = bra_order[static_cast<std::size_t>(pos)];
+      bool kept = false;
+      for (std::size_t j = 0; j <= i && !kept; ++j) {
+        kept = cascade.keep_pair(i, j);
+      }
+      if (kept) break;
+      for (std::size_t j = 0; j <= i; ++j) cascade.keep_pair(i, j, stats_);
+    }
+    return pos;
+  };
 
   omp_set_schedule(opt_.dynamic_schedule ? omp_sched_dynamic
                                          : omp_sched_static,
@@ -89,14 +110,12 @@ void FockBuilderPrivate::build(const la::Matrix& density, la::Matrix& g,
 
     for (;;) {
 #pragma omp master
-      shared_i = ddi_->dlbnext();  // MPI DLB: get new I task
+      shared_i = claim();
       team_barrier();
       const long claimed = shared_i;
-      if (claimed >= static_cast<long>(bra_order.size())) break;
+      if (claimed >= nlist) break;
       const long i =
           static_cast<long>(bra_order[static_cast<std::size_t>(claimed)]);
-#pragma omp master
-      ++stats_.pairs_claimed;
       th.set_task(claimed);
       // One span per claimed i task per thread: the per-thread lanes of
       // the chrome trace make the (j,k) load split visible directly.

@@ -3,7 +3,8 @@
 // and a *thread-private Fock* matrix.
 //
 // MPI level: the master thread of each rank claims the next i shell index
-// from the global DLB counter (guarded by barriers). OpenMP level: the
+// from the global DLB counter (guarded by barriers), passing over shells
+// with no pair the build keeps. OpenMP level: the
 // combined (j,k) loop is collapsed and dynamically scheduled across the
 // rank's threads; each thread accumulates into its own replicated Fock
 // copy (hence eq. 3b: (2 + T) N^2 per rank). Thread copies are reduced

@@ -23,6 +23,10 @@ namespace {
 /// lone thread keeps ints::kDefaultBatchCapacity (DESIGN.md 8.1).
 constexpr std::size_t kTeamBatchCapacity = 2;
 
+/// Doubles appended to each thread's FI/FJ column: one 64-byte cache line,
+/// so the column owners' flush does not false-share (paper section 4.3).
+constexpr std::size_t kLanePadding = 8;
+
 /// Column-owner flush of one shell stripe of a team buffer (the reduction
 /// of the paper's Figure 1B): the owner of column c sums every lane's
 /// element c of each shell row into F and zeroes it (TeamBuffer::take).
@@ -97,8 +101,7 @@ void FockBuilderShared::build(const la::Matrix& density, la::Matrix& g,
   // mxsize = ubound(Fock) * shellSize (+ padding against false sharing);
   // one column per thread (Algorithm 3 lines 1-3).
   const std::size_t col_stride =
-      nbf * static_cast<std::size_t>(bs.max_shell_size()) +
-      static_cast<std::size_t>(opt_.padding_doubles);
+      nbf * static_cast<std::size_t>(bs.max_shell_size()) + kLanePadding;
   TrackedBuffer fi("fock_fi_buffer", col_stride * static_cast<std::size_t>(nt));
   TrackedBuffer fj("fock_fj_buffer", col_stride * static_cast<std::size_t>(nt));
 
@@ -238,8 +241,7 @@ void FockBuilderShared::build(const la::Matrix& density, la::Matrix& g,
       // so on a diagonal pair one thread writes both stripes.
       const long next = slot[cur ^ 1];
       const bool flush_fi =
-          !opt_.lazy_fi_flush || next >= nlist ||
-          bra_pairs[static_cast<std::size_t>(next)].i != i;
+          next >= nlist || bra_pairs[static_cast<std::size_t>(next)].i != i;
 #pragma omp master
       if (flush_fi) ++fi_flushes_;
       th.set_task(pos);

@@ -22,8 +22,7 @@
 //    Figure 1B) after every kl loop; FI is flushed lazily, only when the
 //    next pair's i differs -- usually it does not, which is the key
 //    optimization.
-//  * Thread columns are padded to cache-line multiples to avoid false
-//    sharing (ablated by bench_ablations).
+//  * Thread columns are padded by one cache line to avoid false sharing.
 //  * Two team barriers per claimed pair (DESIGN.md 8.1): the master claims
 //    the next pair ahead and the end-of-kl barrier publishes it; the
 //    column owners' flush (read and zero every lane) is ordered before the
@@ -36,12 +35,6 @@ namespace mc::core {
 
 struct SharedFockOptions {
   int nthreads = 1;
-  /// Flush FI only on i-index change (paper's optimization). Off = flush
-  /// both buffers after every kl loop (the naive variant, for ablation).
-  bool lazy_fi_flush = true;
-  /// Padding (in doubles) appended to each thread's buffer column to avoid
-  /// false sharing during the row-wise reduction (paper section 4.3).
-  int padding_doubles = 8;
   /// schedule(dynamic,1) on the kl loop when true (paper's choice).
   bool dynamic_schedule = true;
 };
@@ -59,8 +52,8 @@ class FockBuilderShared : public scf::FockBuilder {
   void build(const la::Matrix& density, la::Matrix& g,
              const scf::FockContext& ctx) override;
 
-  /// FI buffer flushes in the last build; with lazy flushing this is the
-  /// number of distinct i values encountered, not the number of ij pairs.
+  /// FI buffer flushes in the last build: the number of runs of equal i
+  /// among the pairs the team worked on, not the number of ij pairs.
   [[nodiscard]] std::size_t last_fi_flushes() const { return fi_flushes_; }
 
  private:

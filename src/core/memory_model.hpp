@@ -24,9 +24,6 @@ std::string algorithm_name(ScfAlgorithm alg);
 struct NodeLayout {
   int ranks_per_node = 1;
   int threads_per_rank = 1;
-  [[nodiscard]] int hardware_threads() const {
-    return ranks_per_node * threads_per_rank;
-  }
 };
 
 /// Paper eqs. 3a-3c: bytes per node for `nbf` basis functions. For

@@ -39,16 +39,12 @@ std::unique_ptr<scf::FockBuilder> make_builder(
   switch (cfg.algorithm) {
     case ScfAlgorithm::kMpiOnly:
       return std::make_unique<FockBuilderMpi>(eri, screen, ddi);
-    case ScfAlgorithm::kPrivateFock: {
-      PrivateFockOptions opt = cfg.private_options;
-      opt.nthreads = cfg.nthreads;
-      return std::make_unique<FockBuilderPrivate>(eri, screen, ddi, opt);
-    }
-    case ScfAlgorithm::kSharedFock: {
-      SharedFockOptions opt = cfg.shared_options;
-      opt.nthreads = cfg.nthreads;
-      return std::make_unique<FockBuilderShared>(eri, screen, ddi, opt);
-    }
+    case ScfAlgorithm::kPrivateFock:
+      return std::make_unique<FockBuilderPrivate>(
+          eri, screen, ddi, PrivateFockOptions{cfg.nthreads});
+    case ScfAlgorithm::kSharedFock:
+      return std::make_unique<FockBuilderShared>(
+          eri, screen, ddi, SharedFockOptions{cfg.nthreads});
     case ScfAlgorithm::kDistFock:
       // Single-threaded per rank (like MPI-only); cfg.nthreads is ignored.
       return std::make_unique<FockBuilderDist>(eri, screen, ddi);

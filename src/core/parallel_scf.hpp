@@ -37,9 +37,6 @@ struct ParallelScfConfig {
   std::vector<std::string> basis_per_atom;
   scf::ScfOptions scf;
   double schwarz_threshold = 1e-10;
-  /// Algorithm-specific tuning (nthreads fields are overridden).
-  SharedFockOptions shared_options;
-  PrivateFockOptions private_options;
 };
 
 /// Optional warm inputs for a run, owned by the caller (the job server's

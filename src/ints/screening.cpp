@@ -133,15 +133,6 @@ void Screening::build_pair_lists() {
             });
 }
 
-std::vector<double> Screening::unique_pair_bounds() const {
-  std::vector<double> out;
-  out.reserve(nshells_ * (nshells_ + 1) / 2);
-  for (std::size_t i = 0; i < nshells_; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) out.push_back(q(i, j));
-  }
-  return out;
-}
-
 std::size_t Screening::count_surviving_quartets() const {
   std::size_t n = 0;
   for (std::size_t i = 0; i < nshells_; ++i) {

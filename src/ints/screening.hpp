@@ -110,9 +110,6 @@ class Screening {
     return {pair_i_[p], pair_j_[p]};
   }
 
-  /// All Q_ij for unique pairs (i >= j), e.g. for workload statistics.
-  [[nodiscard]] std::vector<double> unique_pair_bounds() const;
-
   /// Exact count of canonical quartets surviving screening (the loop
   /// structure of Algorithm 1). O(Nshells^4 / 8) -- test-scale systems only.
   [[nodiscard]] std::size_t count_surviving_quartets() const;

@@ -120,15 +120,6 @@ struct KnlCalibration {
                                          double bytes, int total_ranks,
                                          int ranks_per_node) const;
 
-  /// Seconds a KNL core takes for one quartet of the given classes.
-  [[nodiscard]] double knl_quartet_seconds(int class_bra, int nprim_bra,
-                                           int class_ket,
-                                           int nprim_ket) const {
-    return host_eri.quartet_seconds(class_bra, nprim_bra, class_ket,
-                                    nprim_ket) /
-           knl_core_ratio;
-  }
-
   [[nodiscard]] double barrier_seconds(int nthreads) const;
 };
 

@@ -79,11 +79,6 @@ class Workload {
   /// Estimated surviving quartet count.
   [[nodiscard]] double quartets_estimate() const { return quartets_; }
 
-  /// Average single-quartet host seconds (for chunk-granularity terms).
-  [[nodiscard]] double mean_quartet_seconds() const {
-    return quartets_ > 0 ? total_seconds_ / quartets_ : 0.0;
-  }
-
   /// kl-loop trip counts (screening checks + chunk dispatches) aggregated
   /// per i shell, matching i_task_cost.
   [[nodiscard]] const std::vector<double>& i_task_kl_iters() const {

@@ -68,18 +68,6 @@ void append_size(std::string& out, std::size_t v) {
 
 }  // namespace
 
-const char* channel_name(Channel c) {
-  switch (c) {
-    case Channel::kDlbWait: return "dlb_wait";
-    case Channel::kGsum: return "gsum";
-    case Channel::kBarrier: return "barrier";
-    case Channel::kPut: return "put";
-    case Channel::kGet: return "get";
-    case Channel::kAcc: return "acc";
-  }
-  return "unknown";
-}
-
 bool metrics_enabled() {
   return metrics_flag().load(std::memory_order_relaxed);
 }
@@ -149,8 +137,8 @@ double IterationRecord::load_imbalance() const {
   std::size_t total = 0;
   std::size_t mx = 0;
   for (const auto& r : ranks) {
-    total += r.quartets;
-    mx = std::max(mx, r.quartets);
+    total += r.build.quartets;
+    mx = std::max(mx, r.build.quartets);
   }
   if (total == 0) return 1.0;
   const double mean =
@@ -202,19 +190,19 @@ std::string iteration_json(const IterationRecord& rec) {
     std::snprintf(rankbuf, sizeof(rankbuf), "%d", r.rank);
     out += rankbuf;
     out += ",\"pairs_claimed\":";
-    append_size(out, r.pairs_claimed);
+    append_size(out, r.build.pairs_claimed);
     out += ",\"quartets\":";
-    append_size(out, r.quartets);
+    append_size(out, r.build.quartets);
     out += ",\"static_screened\":";
-    append_size(out, r.static_screened);
+    append_size(out, r.build.static_screened);
     out += ",\"density_screened\":";
-    append_size(out, r.density_screened);
+    append_size(out, r.build.density_screened);
     out += ",\"symmetry_skipped\":";
-    append_size(out, r.symmetry_skipped);
+    append_size(out, r.build.symmetry_skipped);
     out += ",\"thread_quartets\":[";
-    for (std::size_t t = 0; t < r.thread_quartets.size(); ++t) {
+    for (std::size_t t = 0; t < r.build.thread_quartets.size(); ++t) {
       if (t > 0) out += ",";
-      append_size(out, r.thread_quartets[t]);
+      append_size(out, r.build.thread_quartets[t]);
     }
     out += "],\"dlb_wait_seconds\":";
     append_double(out, r.dlb_wait_seconds);
@@ -225,17 +213,13 @@ std::string iteration_json(const IterationRecord& rec) {
     out += ",\"peak_bytes\":";
     append_size(out, r.peak_bytes);
     out += ",\"tile_hits\":";
-    append_size(out, r.tile_hits);
+    append_size(out, r.build.tile_hits);
     out += ",\"tile_misses\":";
-    append_size(out, r.tile_misses);
+    append_size(out, r.build.tile_misses);
     out += "}";
   }
   out += "]}";
   return out;
-}
-
-void write_iteration_json(std::ostream& os, const IterationRecord& rec) {
-  os << iteration_json(rec);
 }
 
 const char* job_outcome_name(JobOutcomeKind k) {

@@ -32,7 +32,6 @@ enum class Channel : int {
   kAcc = 5,       ///< one-sided ddi_acc accumulate into a window
 };
 inline constexpr int kChannelCount = 6;
-[[nodiscard]] const char* channel_name(Channel c);
 
 [[nodiscard]] bool metrics_enabled();
 void set_metrics_enabled(bool on);
@@ -108,24 +107,57 @@ void add_eri_class(int lbra, int lket, std::uint64_t quartets,
 // ---------------------------------------------------------------------------
 // Per-iteration metrics records (the --profile JSON-lines schema).
 
-/// One rank's share of one SCF iteration's Fock build.
-struct RankIterationMetrics {
-  int rank = 0;
-  std::size_t pairs_claimed = 0;   ///< MPI-level tasks this rank claimed
-  std::size_t quartets = 0;        ///< shell quartets computed
-  std::size_t static_screened = 0; ///< killed by the static Schwarz bound
-  std::size_t density_screened = 0;///< killed by the density-weighted bound
-  std::size_t symmetry_skipped = 0;///< carried by their orbit's representative
-  std::vector<std::size_t> thread_quartets;  ///< per-OpenMP-thread split
-  double dlb_wait_seconds = 0.0;
-  double gsum_seconds = 0.0;
-  double barrier_seconds = 0.0;
-  std::size_t peak_bytes = 0;      ///< MemoryTracker high-water mark
-  /// Distributed-builder tile-cache traffic (all zero for the replicated
+/// The counters of one Fock build on one rank, as the builder records them
+/// (scf::FockBuilder::last_stats) and as the profile line carries them.
+/// Every screened builder runs the same scf::QuartetCascade over the same
+/// quartet set, so the rank-summed quartets and kills are equal across
+/// algorithms and rank counts; only pairs_claimed counts each algorithm's
+/// own task unit. Kills count C1 quartets in a symmetry-unique build too,
+/// so quartets + symmetry_skipped + static_screened + density_screened is
+/// the number of quartets a C1 build of the same density and context
+/// classifies.
+struct BuildStats {
+  /// MPI-level tasks (bra pairs, or bra shells for private Fock) claimed.
+  std::size_t pairs_claimed = 0;
+  /// Quartets that survived the cascade and were computed.
+  std::size_t quartets = 0;
+  /// Quartets killed by the static Schwarz bound.
+  std::size_t static_screened = 0;
+  /// Quartets that passed the static bound but not the density bound.
+  std::size_t density_screened = 0;
+  /// Quartets that passed both bounds but were not computed because
+  /// another member of their symmetry orbit carries them.
+  std::size_t symmetry_skipped = 0;
+  /// Order of the point group the build used: 1 in C1, also when the
+  /// density was not invariant under the basis's group.
+  int group_order = 1;
+  /// Per-OpenMP-thread split of `quartets` (one entry when single-threaded).
+  std::vector<std::size_t> thread_quartets;
+  /// Distributed-builder tile-cache traffic (zero for the replicated
   /// algorithms): density-tile reads served from the rank-local cache vs
   /// fetched with ddi_get from the window.
   std::size_t tile_hits = 0;
   std::size_t tile_misses = 0;
+
+  /// Fold one OpenMP thread's quartet counts into this rank's record;
+  /// call once per thread, in thread order.
+  void add_thread(const BuildStats& t) {
+    quartets += t.quartets;
+    static_screened += t.static_screened;
+    density_screened += t.density_screened;
+    symmetry_skipped += t.symmetry_skipped;
+    thread_quartets.push_back(t.quartets);
+  }
+};
+
+/// One rank's share of one SCF iteration's Fock build.
+struct RankIterationMetrics {
+  int rank = 0;
+  BuildStats build;  ///< the builder's counters of this iteration's build
+  double dlb_wait_seconds = 0.0;
+  double gsum_seconds = 0.0;
+  double barrier_seconds = 0.0;
+  std::size_t peak_bytes = 0;      ///< MemoryTracker high-water mark
 };
 
 /// One SCF iteration, aggregated across ranks.
@@ -157,7 +189,6 @@ struct IterationRecord {
 
 /// One record as a single JSON line (no trailing newline).
 [[nodiscard]] std::string iteration_json(const IterationRecord& rec);
-void write_iteration_json(std::ostream& os, const IterationRecord& rec);
 
 // ---------------------------------------------------------------------------
 // Per-job serving telemetry (DESIGN.md section 15): the job server emits
@@ -222,11 +253,6 @@ class ProfileSession {
   ProfileSession& operator=(const ProfileSession&) = delete;
 
   void write_iteration(const IterationRecord& rec);
-
-  [[nodiscard]] const std::string& metrics_path() const {
-    return metrics_path_;
-  }
-  [[nodiscard]] const std::string& trace_path() const { return trace_path_; }
 
  private:
   std::string metrics_path_;

@@ -32,11 +32,6 @@ void set_fault_plan(const FaultPlan& plan) {
 
 void clear_fault_plan() { set_fault_plan(FaultPlan{}); }
 
-FaultPlan current_fault_plan() {
-  std::lock_guard<std::mutex> lk(g_plan_mu);
-  return g_plan;
-}
-
 const char* fault_op_name(FaultOp op) {
   switch (op) {
     case FaultOp::kNone: return "none";

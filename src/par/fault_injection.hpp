@@ -63,8 +63,6 @@ struct FaultPlan {
 void set_fault_plan(const FaultPlan& plan);
 /// Remove the installed plan.
 void clear_fault_plan();
-/// The currently installed plan (disabled plan if none).
-[[nodiscard]] FaultPlan current_fault_plan();
 
 /// Parse MC_FAULT_RANK / MC_FAULT_OP / MC_FAULT_CALL / MC_FAULT_DELAY_MS.
 /// Returns a disabled plan when MC_FAULT_RANK or MC_FAULT_OP is unset;

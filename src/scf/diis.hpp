@@ -10,9 +10,13 @@
 
 namespace mc::scf {
 
+/// Subspace size of the SCF drivers' DIIS (RHF and UHF alike).
+inline constexpr std::size_t kDiisMaxVectors = 8;
+
 class Diis {
  public:
-  explicit Diis(std::size_t max_vectors = 8) : max_vectors_(max_vectors) {}
+  explicit Diis(std::size_t max_vectors = kDiisMaxVectors)
+      : max_vectors_(max_vectors) {}
 
   /// Add the (Fock, error) pair for this iteration; error is typically the
   /// orthonormal-basis commutator X^T (F D S - S D F) X.

@@ -30,7 +30,8 @@
 //   * QuartetCascade::project -- turns the orbit-weighted skeleton of a
 //     symmetry-unique build into the full one (a no-op in C1), so build()
 //     keeps the contract above;
-//   * BuildStats -- what a build counts, reported by the base's getters.
+//   * BuildStats -- what a build counts, reported by last_stats() and the
+//     base's getters.
 
 #include <algorithm>
 #include <cstddef>
@@ -41,6 +42,7 @@
 #include "ints/eri.hpp"
 #include "ints/screening.hpp"
 #include "la/matrix.hpp"
+#include "obs/metrics.hpp"
 
 namespace mc::ints {
 class QuartetBatch;
@@ -93,44 +95,10 @@ struct FockContext {
                                   const la::Matrix& d, bool incremental);
 };
 
-/// The counters of one build on one rank. Every screened builder runs the
-/// same QuartetCascade over the same quartet set, so the rank-summed
-/// quartets and kills are equal across algorithms and rank counts; only
-/// pairs_claimed counts each algorithm's own task unit. Kills count C1
-/// quartets in a symmetry-unique build too, so quartets +
-/// symmetry_skipped + static_screened + density_screened is the number of
-/// quartets a C1 build of the same density and context classifies.
-struct BuildStats {
-  /// MPI-level tasks (bra pairs, or bra shells for private Fock) claimed.
-  std::size_t pairs_claimed = 0;
-  /// Quartets that survived the cascade and were computed.
-  std::size_t quartets = 0;
-  /// Quartets killed by the static Schwarz bound.
-  std::size_t static_screened = 0;
-  /// Quartets that passed the static bound but not the density bound.
-  std::size_t density_screened = 0;
-  /// Quartets that passed both bounds but were not computed because
-  /// another member of their symmetry orbit carries them.
-  std::size_t symmetry_skipped = 0;
-  /// Order of the point group the build used: 1 in C1, also when the
-  /// density was not invariant under the basis's group.
-  int group_order = 1;
-  /// Per-OpenMP-thread split of `quartets` (one entry when single-threaded).
-  std::vector<std::size_t> thread_quartets;
-  /// Density-tile reads served by the rank-local cache / fetched remotely.
-  std::size_t tile_hits = 0;
-  std::size_t tile_misses = 0;
-
-  /// Fold one OpenMP thread's quartet counts into this rank's record;
-  /// call once per thread, in thread order.
-  void add_thread(const BuildStats& t) {
-    quartets += t.quartets;
-    static_screened += t.static_screened;
-    density_screened += t.density_screened;
-    symmetry_skipped += t.symmetry_skipped;
-    thread_quartets.push_back(t.quartets);
-  }
-};
+/// The counters of one build on one rank: the profile schema's per-rank
+/// record (obs::BuildStats), which each builder fills and
+/// FockBuilder::last_stats reports.
+using obs::BuildStats;
 
 /// Iterate the canonical quartet list for a fixed (i, j) shell pair:
 /// k in [0, i], l in [0, (k == i ? j : k)] -- the "kl <= ij" pair-index
@@ -314,8 +282,10 @@ class FockBuilder {
     build(density, g, FockContext{});
   }
 
-  // Counters of the last build on this rank (BuildStats). Builders without
-  // a Screening count nothing and report zeros.
+  /// Counters of the last build on this rank: the record run_rhf puts on
+  /// the profile line. Builders without a Screening count nothing and
+  /// report zeros. The getters below read single fields of it.
+  [[nodiscard]] const BuildStats& last_stats() const { return stats_; }
 
   /// Quartets computed.
   [[nodiscard]] virtual std::size_t last_quartets_computed() const {
@@ -327,22 +297,6 @@ class FockBuilder {
   /// one.
   [[nodiscard]] virtual std::size_t last_density_screened() const {
     return stats_.density_screened;
-  }
-  /// Quartets that survived screening but were carried by their symmetry
-  /// orbit's representative instead of computed (0 in C1).
-  [[nodiscard]] virtual std::size_t last_symmetry_skipped() const {
-    return stats_.symmetry_skipped;
-  }
-  /// Order of the point group the last build used (1 = C1, also when the
-  /// density was not invariant under the basis's group).
-  [[nodiscard]] virtual int last_group_order() const {
-    return stats_.group_order;
-  }
-  /// Quartets killed by the static Schwarz bound. Every builder runs the
-  /// same QuartetCascade over the same pairs, so the rank-summed count is
-  /// equal across algorithms and rank counts (DESIGN.md section 10.2).
-  [[nodiscard]] virtual std::size_t last_static_screened() const {
-    return stats_.static_screened;
   }
   /// MPI-level tasks (bra pairs or bra shells) this rank claimed. 0 for
   /// builders without an MPI task loop.

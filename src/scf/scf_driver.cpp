@@ -198,7 +198,7 @@ ScfResult run_rhf(const chem::Molecule& mol, const basis::BasisSet& bs,
   la::Matrix d_delta(nbf, nbf, "density_delta");
   int builds_since_full = 0;
   double err_acc = 0.0;
-  Diis diis(options.diis_max_vectors);
+  Diis diis;
 
   // Profiling-time state. The predicted total is an O(surviving pairs^2)
   // sweep, identical on every rank. Channel accumulators are global, so
@@ -217,7 +217,7 @@ ScfResult run_rhf(const chem::Molecule& mol, const basis::BasisSet& bs,
     const bool full_rebuild = !options.incremental_fock || iter == 1 ||
                               builds_since_full >=
                                   options.fock_rebuild_interval ||
-                              err_acc > options.incremental_error_bound;
+                              err_acc > kIncrementalErrorBound;
 
     // Two-electron (skeleton) Fock accumulation -- the timed hot region.
     // Collective for distributed builders.
@@ -236,7 +236,7 @@ ScfResult run_rhf(const chem::Molecule& mol, const basis::BasisSet& bs,
       d_delta -= d_last;
       FockContext ctx =
           FockContext::from_density(bs, d_delta, /*incremental=*/true);
-      ctx.threshold_scale = options.incremental_threshold_scale;
+      ctx.threshold_scale = kIncrementalThresholdScale;
       builder.build(d_delta, g, ctx);
       g.symmetrize();
       g_acc += g;
@@ -252,7 +252,7 @@ ScfResult run_rhf(const chem::Molecule& mol, const basis::BasisSet& bs,
       // density-screened quartet contributes below threshold * scale;
       // dividing by nbf approximates the scatter fan-out per element.
       err_acc += builder.screening_threshold() *
-                 options.incremental_threshold_scale *
+                 kIncrementalThresholdScale *
                  static_cast<double>(counts.density_screened) /
                  static_cast<double>(nbf);
     }
@@ -321,14 +321,7 @@ ScfResult run_rhf(const chem::Molecule& mol, const basis::BasisSet& bs,
       // iteration's delta, a deliberate (and tiny) attribution skew.
       obs::RankIterationMetrics rm;
       rm.rank = prof_rank;
-      rm.pairs_claimed = builder.last_pairs_claimed();
-      rm.quartets = builder.last_quartets_computed();
-      rm.static_screened = builder.last_static_screened();
-      rm.density_screened = builder.last_density_screened();
-      rm.symmetry_skipped = builder.last_symmetry_skipped();
-      rm.thread_quartets = builder.last_thread_quartets();
-      rm.tile_hits = builder.last_tile_cache_hits();
-      rm.tile_misses = builder.last_tile_cache_misses();
+      rm.build = builder.last_stats();
       const double dlb =
           obs::channel_seconds(obs::Channel::kDlbWait, prof_rank);
       const double gsum = obs::channel_seconds(obs::Channel::kGsum, prof_rank);
@@ -358,11 +351,12 @@ ScfResult run_rhf(const chem::Molecule& mol, const basis::BasisSet& bs,
         rec.quartets = info.quartets_computed;
         rec.density_screened = info.density_screened;
         rec.screening_predicted_quartets = predicted_quartets;
-        rec.group_order = builder.last_group_order();
+        rec.group_order = builder.last_stats().group_order;
         for (const obs::RankIterationMetrics& r : ranks) {
-          rec.static_screened += r.static_screened;
-          rec.symmetry_skipped += r.symmetry_skipped;
-          const int nthreads = static_cast<int>(r.thread_quartets.size());
+          rec.static_screened += r.build.static_screened;
+          rec.symmetry_skipped += r.build.symmetry_skipped;
+          const int nthreads =
+              static_cast<int>(r.build.thread_quartets.size());
           rec.nthreads = std::max(rec.nthreads, nthreads);
         }
         rec.ranks = std::move(ranks);

@@ -26,7 +26,6 @@ struct ScfOptions {
   /// Convergence on |Delta E|.
   double energy_tolerance = 1e-10;
   bool use_diis = true;
-  std::size_t diis_max_vectors = 8;
   int charge = 0;
   /// Eigenvalue cutoff for near-linear-dependence in S.
   double lindep_tolerance = 1e-10;
@@ -42,15 +41,6 @@ struct ScfOptions {
   /// Force a full rebuild after this many consecutive incremental builds
   /// (caps screening-error accumulation; GAMESS-style reset policy).
   int fock_rebuild_interval = 12;
-  /// Full rebuild as soon as the accumulated screening-error estimate
-  /// (sum over incremental builds of threshold * scale * screened-quartet
-  /// count / nbf) exceeds this bound.
-  double incremental_error_bound = 1e-8;
-  /// Threshold multiplier for incremental builds (< 1 tightens): the
-  /// delta-density bound drops quartets whose *contribution to the
-  /// current update* is small, so the cut must sit well below the static
-  /// budget for the accumulated Fock to stay accurate.
-  double incremental_threshold_scale = 0.01;
 
   /// When non-empty, profile the run: stream one machine-readable JSON
   /// record per SCF iteration to <profile_path>.metrics.jsonl and write a
@@ -59,6 +49,16 @@ struct ScfOptions {
   /// ParallelScfConfig::scf).
   std::string profile_path;
 };
+
+/// Full rebuild as soon as the accumulated screening-error estimate of the
+/// incremental builds since the last full one (sum of threshold * scale *
+/// density-screened quartets / nbf) exceeds this bound.
+inline constexpr double kIncrementalErrorBound = 1e-8;
+/// Schwarz-threshold multiplier of incremental builds (< 1 tightens): the
+/// delta-density bound drops quartets whose *contribution to the current
+/// update* is small, so the cut must sit well below the static budget for
+/// the accumulated Fock to stay accurate.
+inline constexpr double kIncrementalThresholdScale = 0.01;
 
 struct ScfIterationInfo {
   int iteration = 0;

@@ -35,7 +35,6 @@ class AoIntegralTensor {
   }
 
   [[nodiscard]] std::size_t nbf() const { return nbf_; }
-  [[nodiscard]] std::size_t stored_values() const { return values_.size(); }
 
   static std::size_t pair_index(std::size_t p, std::size_t q) {
     return (p >= q) ? p * (p + 1) / 2 + q : q * (q + 1) / 2 + p;

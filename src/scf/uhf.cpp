@@ -148,7 +148,7 @@ UhfResult run_uhf(const chem::Molecule& mol, const basis::BasisSet& bs,
 
   // Spin-coupled DIIS: stack (F_a; F_b) and the two error matrices into
   // 2N x N blocks so one set of extrapolation coefficients serves both.
-  Diis diis(opt.diis_max_vectors);
+  Diis diis;
   auto stack = [&](const la::Matrix& top, const la::Matrix& bot) {
     la::Matrix out(2 * nbf, nbf);
     for (std::size_t r = 0; r < nbf; ++r) {

@@ -27,7 +27,6 @@ struct UhfOptions {
   double density_tolerance = 1e-8;
   double energy_tolerance = 1e-10;
   bool use_diis = true;
-  std::size_t diis_max_vectors = 8;
   int charge = 0;
   /// Spin multiplicity 2S+1 (1 = singlet, 2 = doublet, ...).
   int multiplicity = 1;

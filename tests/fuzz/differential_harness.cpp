@@ -35,14 +35,12 @@ struct SweepConfig {
   int nranks = 1;
   int nthreads = 1;
   bool dynamic_schedule = true;
-  bool lazy_fi_flush = true;
 
   [[nodiscard]] std::string label() const {
     std::ostringstream os;
     os << core::algorithm_name(alg) << "[r" << nranks;
     if (nthreads > 1) os << ",t" << nthreads;
     if (!dynamic_schedule) os << ",static";
-    if (!lazy_fi_flush) os << ",eager-fi";
     os << "]";
     return os.str();
   }
@@ -70,9 +68,10 @@ std::vector<SweepConfig> draw_configs(core::ScfAlgorithm alg,
     }
     cfg.nthreads = 1 + static_cast<int>(r.below(3));
     cfg.dynamic_schedule = r.chance(1, 2);
-    cfg.lazy_fi_flush = r.chance(3, 4);
-    // Discarded draws, once dist-fock's tuning options: they keep the
-    // stream aligned so a fixed seed replays the same configurations.
+    // Discarded draws, once shared Fock's FI-flush switch and dist-fock's
+    // tuning options: they keep the stream aligned so a fixed seed replays
+    // the same configurations.
+    (void)r.chance(3, 4);
     for (const std::uint64_t n : {4u, 2u, 4u, 3u}) (void)r.below(n);
     out.push_back(cfg);
   }
@@ -114,7 +113,6 @@ BuildOutcome run_build(const SweepConfig& cfg, const ints::EriEngine& eri,
           core::SharedFockOptions so;
           so.nthreads = cfg.nthreads;
           so.dynamic_schedule = cfg.dynamic_schedule;
-          so.lazy_fi_flush = cfg.lazy_fi_flush;
           builder = std::make_unique<core::FockBuilderShared>(eri, screen,
                                                               ddi, so);
           break;
@@ -295,7 +293,7 @@ SampleReport DifferentialHarness::run(const FuzzSample& sample) const {
     scalar.build(d_delta, g_ref_delta, delta_ctx);
     const std::size_t ref_quartets_delta = scalar.last_quartets_computed();
     const std::size_t ref_screened_delta = scalar.last_density_screened();
-    const std::size_t ref_skipped_delta = scalar.last_symmetry_skipped();
+    const std::size_t ref_skipped_delta = scalar.last_stats().symmetry_skipped;
     ++rep.engines_run;
     // Kills and symmetry skips count C1 quartets, so the three together
     // stay within the C1 static survivors.

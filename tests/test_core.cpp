@@ -228,44 +228,26 @@ TEST(AlgorithmEquivalence, DShellSystemAllThreeAgree) {
 
 // ---- Shared-Fock internals and ablations ----
 
-TEST(SharedFockAblation, EagerFiFlushGivesSameResult) {
+TEST(SharedFockAblation, ScheduleDoesNotChangeResult) {
   Fixture fx(chem::builders::water(), "STO-3G");
-  for (bool lazy : {true, false}) {
+  for (bool dyn : {true, false}) {
     la::Matrix g = build_distributed(fx, 1, [&](par::Ddi& ddi) {
       SharedFockOptions opt;
-      opt.nthreads = 3;
-      opt.lazy_fi_flush = lazy;
+      opt.nthreads = 2;
+      opt.dynamic_schedule = dyn;
       return std::make_unique<FockBuilderShared>(fx.eri, fx.screen, ddi,
                                                  opt);
     });
-    EXPECT_NEAR(g.max_abs_diff(fx.g_ref), 0.0, 1e-10) << "lazy=" << lazy;
-  }
-}
-
-TEST(SharedFockAblation, PaddingAndScheduleDoNotChangeResult) {
-  Fixture fx(chem::builders::water(), "STO-3G");
-  for (int pad : {0, 8, 64}) {
-    for (bool dyn : {true, false}) {
-      la::Matrix g = build_distributed(fx, 1, [&](par::Ddi& ddi) {
-        SharedFockOptions opt;
-        opt.nthreads = 2;
-        opt.padding_doubles = pad;
-        opt.dynamic_schedule = dyn;
-        return std::make_unique<FockBuilderShared>(fx.eri, fx.screen, ddi,
-                                                   opt);
-      });
-      EXPECT_NEAR(g.max_abs_diff(fx.g_ref), 0.0, 1e-10)
-          << "pad=" << pad << " dyn=" << dyn;
-    }
+    EXPECT_NEAR(g.max_abs_diff(fx.g_ref), 0.0, 1e-10) << "dyn=" << dyn;
   }
 }
 
 TEST(SharedFock, LazyFlushingFlushesPerIChangeNotPerPair) {
   // With one rank the DLB counter hands out every list position in order,
   // so the claim and flush counts follow from the list alone: every
-  // position is claimed; a lazy FI flush fires once per run of equal i
-  // among the pairs that pass the ij prescreen, an eager one once per
-  // such pair -- whatever the team size, and under a weighted context.
+  // position is claimed, and the FI flush fires once per run of equal i
+  // among the pairs that pass the ij prescreen -- whatever the team size,
+  // and under a weighted context.
   Fixture fx(chem::builders::benzene(), "STO-3G");
   const std::vector<ints::ScreenedPair>& list = fx.screen.bra_grouped_pairs();
   const scf::FockContext trivial;
@@ -287,26 +269,22 @@ TEST(SharedFock, LazyFlushingFlushesPerIChangeNotPerPair) {
     }
     ASSERT_LT(2 * runs, kept) << "lazy flushing should matter here";
     for (const int nt : {1, 2, 4}) {
-      for (const bool lazy : {true, false}) {
-        std::size_t flushes = 0;
-        std::size_t pairs = 0;
-        par::run_spmd(1, [&](par::Comm& comm) {
-          par::Ddi ddi(comm);
-          SharedFockOptions opt;
-          opt.nthreads = nt;
-          opt.lazy_fi_flush = lazy;
-          FockBuilderShared b(fx.eri, fx.screen, ddi, opt);
-          la::Matrix g(fx.bs.nbf(), fx.bs.nbf());
-          b.build(d, g, ctx);
-          flushes = b.last_fi_flushes();
-          pairs = b.last_pairs_claimed();
-        });
-        const std::string where = std::string(delta ? "delta" : "full") +
-                                  ", " + std::to_string(nt) + " threads, " +
-                                  (lazy ? "lazy" : "eager");
-        EXPECT_EQ(pairs, list.size()) << where;
-        EXPECT_EQ(flushes, lazy ? runs : kept) << where;
-      }
+      std::size_t flushes = 0;
+      std::size_t pairs = 0;
+      par::run_spmd(1, [&](par::Comm& comm) {
+        par::Ddi ddi(comm);
+        SharedFockOptions opt;
+        opt.nthreads = nt;
+        FockBuilderShared b(fx.eri, fx.screen, ddi, opt);
+        la::Matrix g(fx.bs.nbf(), fx.bs.nbf());
+        b.build(d, g, ctx);
+        flushes = b.last_fi_flushes();
+        pairs = b.last_pairs_claimed();
+      });
+      const std::string where = std::string(delta ? "delta" : "full") +
+                                ", " + std::to_string(nt) + " threads";
+      EXPECT_EQ(pairs, list.size()) << where;
+      EXPECT_EQ(flushes, runs) << where;
     }
   }
 }
@@ -315,17 +293,12 @@ TEST(SharedFockEdgeCases, SingleThreadDegeneratesToSerialProtocol) {
   // nthreads=1 means every buffer column, flush chunk, and kl pair belongs
   // to the one thread: the full protocol still runs but with no concurrency.
   Fixture fx(chem::builders::water(), "STO-3G");
-  for (bool lazy : {true, false}) {
-    la::Matrix g = build_distributed(fx, 2, [&](par::Ddi& ddi) {
-      SharedFockOptions opt;
-      opt.nthreads = 1;
-      opt.lazy_fi_flush = lazy;
-      return std::make_unique<FockBuilderShared>(fx.eri, fx.screen, ddi,
-                                                 opt);
-    });
-    expect_bit_comparable(g, fx.g_ref, kMaxSkeletonUlps,
-                          lazy ? "1-thread lazy" : "1-thread eager");
-  }
+  la::Matrix g = build_distributed(fx, 2, [&](par::Ddi& ddi) {
+    SharedFockOptions opt;
+    opt.nthreads = 1;
+    return std::make_unique<FockBuilderShared>(fx.eri, fx.screen, ddi, opt);
+  });
+  expect_bit_comparable(g, fx.g_ref, kMaxSkeletonUlps, "1-thread");
 }
 
 TEST(SharedFockEdgeCases, ScreeningEverythingLeavesGZeroWithoutFlushing) {

@@ -220,13 +220,13 @@ TEST(Metrics, IterationJsonCarriesTheSchema) {
   rec.group_order = 8;
   obs::RankIterationMetrics r0;
   r0.rank = 0;
-  r0.quartets = 10;
-  r0.symmetry_skipped = 33;
-  r0.thread_quartets = {4, 6};
+  r0.build.quartets = 10;
+  r0.build.symmetry_skipped = 33;
+  r0.build.thread_quartets = {4, 6};
   obs::RankIterationMetrics r1;
   r1.rank = 1;
-  r1.quartets = 30;
-  r1.thread_quartets = {15, 15};
+  r1.build.quartets = 30;
+  r1.build.thread_quartets = {15, 15};
   rec.ranks = {r0, r1};
 
   EXPECT_DOUBLE_EQ(rec.load_imbalance(), 1.5);  // max 30 / mean 20
@@ -303,11 +303,11 @@ BuildCounts count_build(const FockFixture& fx, int nranks, const la::Matrix& d,
     builder->build(d, g, ctx);
     std::lock_guard<std::mutex> lk(mu);
     total.quartets += builder->last_quartets_computed();
-    total.static_screened += builder->last_static_screened();
+    total.static_screened += builder->last_stats().static_screened;
     total.density_screened += builder->last_density_screened();
-    total.symmetry_skipped += builder->last_symmetry_skipped();
+    total.symmetry_skipped += builder->last_stats().symmetry_skipped;
     total.pairs_claimed += builder->last_pairs_claimed();
-    total.group_order = builder->last_group_order();
+    total.group_order = builder->last_stats().group_order;
     for (const std::size_t q : builder->last_thread_quartets()) {
       total.thread_sum += q;
     }
@@ -370,7 +370,7 @@ TEST(ObsCounters, SerialThreadSumMatchesScreeningPrediction) {
   scf::SerialFockBuilder builder(fx.eri, fx.screen);
   la::Matrix g(fx.bs.nbf(), fx.bs.nbf());
   builder.build(fx.d, g);
-  EXPECT_EQ(builder.last_group_order(), 4);
+  EXPECT_EQ(builder.last_stats().group_order, 4);
   const std::size_t predicted = predicted_full(fx);
   EXPECT_EQ(builder.last_quartets_computed(), predicted);
   std::size_t thread_sum = 0;
@@ -456,14 +456,13 @@ TEST(ObsCounters, DistReadsThreeTilesPerQuartetAndFetchesEachTileOnce) {
   // quartet, and nothing else requests a tile: rank-summed tile reads are
   // exactly 3 x the quartets computed. A tile is fetched on its first
   // request and kept for the build, so a rank misses at most once per
-  // tile. In a delta build the zero shortcut serves some of the reads.
+  // tile. Full and delta builds alike.
   const FockFixture& fx = fixture();
   for (const int nranks : {1, 2, 3, 4}) {
     const std::size_t ntiles = TileLayout::build(fx.bs, nranks).ntiles;
     for (const bool delta : {false, true}) {
       std::size_t quartets = 0;
       std::size_t reads = 0;
-      std::size_t zero_hits = 0;
       std::mutex mu;
       par::run_spmd(nranks, [&](par::Comm& comm) {
         par::Ddi ddi(comm);
@@ -478,19 +477,13 @@ TEST(ObsCounters, DistReadsThreeTilesPerQuartetAndFetchesEachTileOnce) {
         quartets += builder.last_quartets_computed();
         reads += builder.last_tile_cache_hits() +
                  builder.last_tile_cache_misses();
-        zero_hits += builder.last_zero_tile_hits();
         EXPECT_LE(builder.last_tile_cache_misses(), ntiles)
             << nranks << " ranks, rank " << comm.rank();
       });
       const std::string what = std::to_string(nranks) +
                                (delta ? " ranks, delta" : " ranks, full");
       EXPECT_GT(quartets, 0u) << what;
-      if (delta) {
-        EXPECT_EQ(reads + zero_hits, 3 * quartets) << what;
-      } else {
-        EXPECT_EQ(zero_hits, 0u) << what;
-        EXPECT_EQ(reads, 3 * quartets) << what;
-      }
+      EXPECT_EQ(reads, 3 * quartets) << what;
     }
   }
 }
@@ -554,13 +547,13 @@ TEST(ObsCounters, AllBuildersScreenTheSameQuartets) {
     scf::SerialFockBuilder serial(fx.eri, fx.screen);
     la::Matrix g(fx.bs.nbf(), fx.bs.nbf());
     serial.build(in.d, g, in.ctx);
-    EXPECT_EQ(serial.last_group_order(), 8) << in.what;
-    EXPECT_GT(serial.last_static_screened(), 0u);
+    EXPECT_EQ(serial.last_stats().group_order, 8) << in.what;
+    EXPECT_GT(serial.last_stats().static_screened, 0u);
     EXPECT_EQ(serial.last_density_screened() > 0, in.scale > 0.0);
     const std::size_t candidates = c1_candidates(fx.screen, in.ctx);
     EXPECT_EQ(serial.last_quartets_computed() +
-                  serial.last_symmetry_skipped() +
-                  serial.last_static_screened() +
+                  serial.last_stats().symmetry_skipped +
+                  serial.last_stats().static_screened +
                   serial.last_density_screened(),
               candidates)
         << in.what;
@@ -578,10 +571,11 @@ TEST(ObsCounters, AllBuildersScreenTheSameQuartets) {
         const std::string where = std::string(what) + " (" + in.what +
                                   ", " + std::to_string(nranks) + " ranks)";
         EXPECT_EQ(c.quartets, serial.last_quartets_computed()) << where;
-        EXPECT_EQ(c.static_screened, serial.last_static_screened()) << where;
+        EXPECT_EQ(c.static_screened, serial.last_stats().static_screened)
+            << where;
         EXPECT_EQ(c.density_screened, serial.last_density_screened())
             << where;
-        EXPECT_EQ(c.symmetry_skipped, serial.last_symmetry_skipped())
+        EXPECT_EQ(c.symmetry_skipped, serial.last_stats().symmetry_skipped)
             << where;
         EXPECT_EQ(c.classified(), candidates) << where;
         EXPECT_EQ(c.thread_sum, c.quartets) << where;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,12 +17,15 @@
 #include "chem/builders.hpp"
 #include "common/error.hpp"
 #include "common/memory_tracker.hpp"
+#include "core/fock_dist.hpp"
 #include "ints/eri.hpp"
 #include "ints/one_electron.hpp"
 #include "ints/screening.hpp"
 #include "la/blas_lite.hpp"
 #include "la/orthogonalizer.hpp"
 #include "la/sym_eig.hpp"
+#include "par/ddi.hpp"
+#include "par/runtime.hpp"
 #include "scf/diis.hpp"
 #include "scf/scf_driver.hpp"
 #include "scf/serial_fock.hpp"
@@ -266,6 +270,8 @@ class FakeTeam : public ScfLockstep {
   double peer_rms = 0.0;                  ///< largest RMS of the other ranks
   int peers = 0;                          ///< gathered ranks besides this one
   bool writes_record = true;              ///< false: a non-writing rank
+  /// This rank's record of every gather, in iteration order.
+  std::vector<obs::BuildStats> gathered;
 
   BuildCounts sum_counts(BuildCounts local) override {
     local.density_screened += peer_density_screened;
@@ -276,13 +282,14 @@ class FakeTeam : public ScfLockstep {
   }
   std::vector<obs::RankIterationMetrics> gather_metrics(
       obs::RankIterationMetrics mine) override {
+    gathered.push_back(mine.build);
     if (!writes_record) return {};
     std::vector<obs::RankIterationMetrics> all{mine};
     for (int p = 1; p <= peers; ++p) {
       obs::RankIterationMetrics peer = mine;
       peer.rank = p;
-      peer.static_screened += static_cast<std::size_t>(p);
-      peer.thread_quartets.assign(static_cast<std::size_t>(p + 1), 0);
+      peer.build.static_screened += static_cast<std::size_t>(p);
+      peer.build.thread_quartets.assign(static_cast<std::size_t>(p + 1), 0);
       all.push_back(peer);
     }
     return all;
@@ -388,6 +395,66 @@ TEST(ScfLockstep, WritingRankAssemblesRecordFromGatheredRanks) {
     const std::size_t mine = json_size(line.substr(ranks_at),
                                        "static_screened");
     EXPECT_EQ(json_size(line, "static_screened"), 3 * mine + 3);
+  }
+}
+
+/// Field-for-field equality of two build records.
+void expect_same_stats(const BuildStats& a, const BuildStats& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.pairs_claimed, b.pairs_claimed) << what;
+  EXPECT_EQ(a.quartets, b.quartets) << what;
+  EXPECT_EQ(a.static_screened, b.static_screened) << what;
+  EXPECT_EQ(a.density_screened, b.density_screened) << what;
+  EXPECT_EQ(a.symmetry_skipped, b.symmetry_skipped) << what;
+  EXPECT_EQ(a.group_order, b.group_order) << what;
+  EXPECT_EQ(a.thread_quartets, b.thread_quartets) << what;
+  EXPECT_EQ(a.tile_hits, b.tile_hits) << what;
+  EXPECT_EQ(a.tile_misses, b.tile_misses) << what;
+}
+
+TEST(ScfLockstep, GatheredRecordIsTheBuildersLastStats) {
+  // The per-rank record run_rhf hands to the team is the builder's own
+  // counter record of that iteration's build, every field of it: full and
+  // delta builds of symmetric ethane, by the serial builder and by
+  // dist-fock on one rank (which also counts tile traffic).
+  auto mol = chem::builders::alkane(2);
+  auto bs = basis::BasisSet::build(mol, "STO-3G");
+  ints::EriEngine eri(bs);
+  ints::Screening screen(eri, 1e-10);
+  for (const bool dist : {false, true}) {
+    const std::string what = dist ? "dist-fock" : "serial";
+    FakeTeam team;
+    std::vector<BuildStats> seen;
+    par::run_spmd(1, [&](par::Comm& comm) {
+      par::Ddi ddi(comm);
+      std::unique_ptr<FockBuilder> builder;
+      if (dist) {
+        builder = std::make_unique<core::FockBuilderDist>(eri, screen, ddi);
+      } else {
+        builder = std::make_unique<SerialFockBuilder>(eri, screen);
+      }
+      ScfCallbacks callbacks;
+      callbacks.on_iteration = [&](const ScfIterationInfo&) {
+        seen.push_back(builder->last_stats());
+      };
+      obs::ProfileSession session(::testing::TempDir() + "mc_scf_stats");
+      const ScfResult r =
+          run_rhf(mol, bs, *builder, {}, team, &session, callbacks);
+      EXPECT_TRUE(r.converged) << what;
+    });
+    ASSERT_EQ(team.gathered.size(), seen.size()) << what;
+    BuildStats sum;
+    for (std::size_t k = 0; k < seen.size(); ++k) {
+      expect_same_stats(team.gathered[k], seen[k],
+                        what + ", iteration " + std::to_string(k + 1));
+      EXPECT_EQ(seen[k].group_order, 4) << what;
+      sum.density_screened += seen[k].density_screened;
+      sum.symmetry_skipped += seen[k].symmetry_skipped;
+      sum.tile_hits += seen[k].tile_hits;
+    }
+    EXPECT_GT(sum.density_screened, 0u) << what;
+    EXPECT_GT(sum.symmetry_skipped, 0u) << what;
+    EXPECT_EQ(sum.tile_hits > 0, dist) << what;
   }
 }
 

@@ -18,6 +18,7 @@
 #include <initializer_list>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 
 #include "basis/basis_set.hpp"
@@ -30,6 +31,7 @@
 #include "ints/one_electron.hpp"
 #include "la/orthogonalizer.hpp"
 #include "la/sym_eig.hpp"
+#include "obs/trace.hpp"
 #include "par/ddi.hpp"
 #include "par/runtime.hpp"
 #include "scf/scf_driver.hpp"
@@ -152,10 +154,10 @@ void expect_matches(const SymFixture& fx, int order, int nranks,
     la::Matrix g(fx.bs.nbf(), fx.bs.nbf());
     builder->build(dm, g, ctx);
     std::lock_guard<std::mutex> lk(mu);
-    EXPECT_EQ(builder->last_group_order(), order) << what;
+    EXPECT_EQ(builder->last_stats().group_order, order) << what;
     sum.quartets += builder->last_quartets_computed();
-    sum.symmetry_skipped += builder->last_symmetry_skipped();
-    sum.static_screened += builder->last_static_screened();
+    sum.symmetry_skipped += builder->last_stats().symmetry_skipped;
+    sum.static_screened += builder->last_stats().static_screened;
     sum.density_screened += builder->last_density_screened();
     if (comm.rank() == 0) g0 = g;
   });
@@ -328,6 +330,67 @@ TEST(SymmetricFockGuard, NonInvariantDensityFallsBackToC1) {
     expect_matches(fx, /*order=*/1, b == 0 ? 1 : 2, d, scf::FockContext{},
                    ref, makers[b], "builder " + std::to_string(b));
   }
+}
+
+TEST(SymmetricFockPrivate, TeamWorksOnlyOnShellsWithAKeptPair) {
+  if (!MC_OBS) GTEST_SKIP() << "trace spans compiled out (MC_OBS=0)";
+  // A symmetry-unique build keeps no pair of many bra shells. The master
+  // passes over them and counts their quartets itself, so the team runs
+  // one i task -- one fock:private:i_task span per thread -- per shell
+  // with a kept pair, and the counters stay the C1 ones.
+  const chem::Molecule mol = pentane();
+  const basis::BasisSet bs = basis::BasisSet::build(mol, "STO-3G");
+  const ints::EriEngine eri(bs);
+  const ints::Screening screen(eri, 1e-10);
+  la::Matrix d = scf::atomic_guess_density(mol, bs, mol.nelectrons(), 1e-10);
+  screen.point_group().project(d);
+  const scf::FockContext trivial;
+  const scf::QuartetCascade cascade =
+      scf::QuartetCascade::for_density(screen, d, trivial);
+  ASSERT_EQ(cascade.group_order(), 4);
+  const std::vector<std::size_t>& shells = screen.sorted_bra_shells();
+  std::size_t busy = 0;
+  for (const std::size_t i : shells) {
+    bool kept = false;
+    for (std::size_t j = 0; j <= i && !kept; ++j) {
+      kept = cascade.keep_pair(i, j);
+    }
+    busy += kept ? 1 : 0;
+  }
+  ASSERT_LT(busy, shells.size()) << "some shells should keep no pair";
+  const Reference ref = c1_build(eri, screen, d, trivial);
+
+  constexpr int kThreads = 4;
+  la::Matrix g(bs.nbf(), bs.nbf());
+  scf::BuildStats stats;
+  obs::reset_trace();
+  obs::set_trace_enabled(true);
+  par::run_spmd(1, [&](par::Comm& comm) {
+    par::Ddi ddi(comm);
+    PrivateFockOptions opt;
+    opt.nthreads = kThreads;
+    FockBuilderPrivate builder(eri, screen, ddi, opt);
+    builder.build(d, g);
+    stats = builder.last_stats();
+  });
+  obs::set_trace_enabled(false);
+  std::ostringstream trace;
+  obs::write_chrome_trace(trace);
+  obs::reset_trace();
+  const std::string json = trace.str();
+  const std::string needle = "\"fock:private:i_task\"";
+  std::size_t spans = 0;
+  for (std::size_t at = json.find(needle); at != std::string::npos;
+       at = json.find(needle, at + needle.size())) {
+    ++spans;
+  }
+  EXPECT_EQ(spans, kThreads * busy);
+  EXPECT_EQ(stats.pairs_claimed, shells.size());
+  EXPECT_EQ(stats.quartets + stats.symmetry_skipped, ref.stats.quartets);
+  EXPECT_EQ(stats.static_screened, ref.stats.static_screened);
+  EXPECT_EQ(stats.density_screened, ref.stats.density_screened);
+  g.symmetrize();
+  EXPECT_LE(g.max_abs_diff(ref.g), kTolerance);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // tsan`). The full equivalence sweep is too slow under ThreadSanitizer's
 // ~10x slowdown, so this file drives exactly the configurations whose
 // synchronization protocols differ -- each of the paper's three Fock
-// builders at multiple ranks x multiple threads, both schedules, lazy FI
-// flushing on and off -- once each, on a small system. Under MC_SANITIZE=
+// builders at multiple ranks x multiple threads, both schedules -- once
+// each, on a small system. Under MC_SANITIZE=
 // thread this validates the race-freedom-by-construction argument of
 // Algorithm 3 (direct shared-G writes to distinct kl blocks + buffered
 // i/j columns); in a normal build it is a fast smoke test.
@@ -44,17 +44,13 @@ TEST(TsanProtocol, PrivateFockTwoRanksFourThreads) {
 }
 
 TEST(TsanProtocol, SharedFockTwoRanksFourThreads) {
-  for (bool lazy : {true, false}) {
-    la::Matrix g = build_distributed(fx(), 2, [&](par::Ddi& ddi) {
-      SharedFockOptions opt;
-      opt.nthreads = 4;
-      opt.lazy_fi_flush = lazy;
-      return std::make_unique<FockBuilderShared>(fx().eri, fx().screen, ddi,
-                                                 opt);
-    });
-    expect_bit_comparable(g, fx().g_ref, kMaxSkeletonUlps,
-                          lazy ? "shared lazy" : "shared eager");
-  }
+  la::Matrix g = build_distributed(fx(), 2, [&](par::Ddi& ddi) {
+    SharedFockOptions opt;
+    opt.nthreads = 4;
+    return std::make_unique<FockBuilderShared>(fx().eri, fx().screen, ddi,
+                                               opt);
+  });
+  expect_bit_comparable(g, fx().g_ref, kMaxSkeletonUlps, "shared dyn");
 }
 
 TEST(TsanProtocol, DistFockWindowsThreeRanks) {
@@ -100,19 +96,18 @@ TEST(TsanProtocol, WeightedDeltaBuildsAcrossAllThreeBuilders) {
                         "dist weighted delta");
 }
 
-TEST(TsanProtocol, SharedFockStaticScheduleUnpadded) {
-  // padding=0 maximizes adjacent-column traffic in the buffer reduction:
-  // false sharing is a performance bug, not a correctness bug, and TSan
-  // must stay silent on it.
+TEST(TsanProtocol, SharedFockStaticScheduleOneRankFourThreads) {
+  // schedule(static) on the kl loop: each thread gets a fixed share of
+  // every kl loop instead of claiming kl values one by one, and the
+  // column owners' flush must be ordered after all of them alike.
   la::Matrix g = build_distributed(fx(), 1, [&](par::Ddi& ddi) {
     SharedFockOptions opt;
     opt.nthreads = 4;
     opt.dynamic_schedule = false;
-    opt.padding_doubles = 0;
     return std::make_unique<FockBuilderShared>(fx().eri, fx().screen, ddi,
                                                opt);
   });
-  expect_bit_comparable(g, fx().g_ref, kMaxSkeletonUlps, "shared pad=0");
+  expect_bit_comparable(g, fx().g_ref, kMaxSkeletonUlps, "shared stat");
 }
 
 }  // namespace
