@@ -55,6 +55,9 @@ void BM_SerialBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_SerialBuild)->Unit(benchmark::kMillisecond);
 
+// The SPMD builds below run on rank threads, so the main thread's CPU time
+// is near zero and would let google-benchmark iterate to its cap: they are
+// timed by the wall clock (UseRealTime).
 template <typename MakeBuilder>
 void run_spmd_build(int nranks, MakeBuilder&& make) {
   Setup& s = Setup::instance();
@@ -78,7 +81,7 @@ void BM_MpiOnlyBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MpiOnlyBuild)->Arg(1)->Arg(2)->Arg(4)->Unit(
-    benchmark::kMillisecond);
+    benchmark::kMillisecond)->UseRealTime();
 
 void BM_PrivateFockBuild(benchmark::State& state) {
   Setup& s = Setup::instance();
@@ -97,7 +100,8 @@ BENCHMARK(BM_PrivateFockBuild)
     ->Args({1, 1})
     ->Args({1, 2})
     ->Args({2, 2})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_SharedFockBuild(benchmark::State& state) {
   Setup& s = Setup::instance();
@@ -116,12 +120,11 @@ BENCHMARK(BM_SharedFockBuild)
     ->Args({1, 1})
     ->Args({1, 2})
     ->Args({2, 2})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // The block-distributed builder trades the replicated D/F for window
-// traffic (put/get/acc + tile cache); the perf gate holds it to within 20%
-// of the replicated MPI-only build at 4 ranks, the overhead budget the
-// memory ceiling is bought with.
+// traffic (put/get/acc + tile cache).
 void BM_DistFockBuild(benchmark::State& state) {
   Setup& s = Setup::instance();
   const int nranks = static_cast<int>(state.range(0));
@@ -133,7 +136,7 @@ void BM_DistFockBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DistFockBuild)->Arg(1)->Arg(2)->Arg(4)->Unit(
-    benchmark::kMillisecond);
+    benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

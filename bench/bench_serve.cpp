@@ -43,7 +43,6 @@ RunStats run_config(const Config& c, int ranks, int jobs, int repeats) {
   serve::ServerOptions opt;
   opt.nworlds = c.worlds;
   opt.max_queue_depth = static_cast<std::size_t>(jobs * repeats + 1);
-  opt.warm_start = c.warm;
   opt.setup_cache_capacity = c.warm ? 16 : 0;
   opt.density_cache_capacity = c.warm ? 32 : 0;
   serve::ScfJobServer server(opt);

@@ -17,7 +17,7 @@
 //     --algorithm A     mpi | private | shared | dist  (default shared)
 //     --basis B         basis for every job            (default STO-3G)
 //     --telemetry PATH  append one JSON line per terminal job
-//     --cold            disable warm starts (baseline mode)
+//     --cold            no density cache, so no job warm-starts (baseline)
 //
 // Example:
 //   mchf-serve --worlds 2 --ranks 2 --jobs 8 --repeats 2
@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
   opt.nworlds = args.worlds;
   opt.max_queue_depth = args.queue_depth;
   opt.max_pending_per_tenant = args.tenant_cap;
-  opt.warm_start = !args.cold;
+  if (args.cold) opt.density_cache_capacity = 0;
   opt.telemetry_path = args.telemetry;
 
   serve::ScfJobServer server(opt);

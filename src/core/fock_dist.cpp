@@ -27,7 +27,6 @@ TileLayout TileLayout::build(const basis::BasisSet& bs, int nranks) {
   // `target` rows. Shells never straddle tiles, so a shell's rows live in
   // exactly one tile (shell_tile below is well defined).
   lay.tile_row0.push_back(0);
-  lay.tile_shell0.push_back(0);
   lay.shell_tile.resize(nshells);
   std::size_t rows_in_tile = 0;
   for (std::size_t s = 0; s < nshells; ++s) {
@@ -36,7 +35,6 @@ TileLayout TileLayout::build(const basis::BasisSet& bs, int nranks) {
     const bool last = (s + 1 == nshells);
     if (rows_in_tile >= target || last) {
       lay.tile_row0.push_back(lay.tile_row0.back() + rows_in_tile);
-      lay.tile_shell0.push_back(s + 1);
       rows_in_tile = 0;
     }
   }

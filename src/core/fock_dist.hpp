@@ -48,7 +48,6 @@ struct TileLayout {
   std::size_t nbf = 0;
   std::size_t ntiles = 0;
   std::vector<std::size_t> tile_row0;    ///< row fences, size ntiles+1
-  std::vector<std::size_t> tile_shell0;  ///< shell fences, size ntiles+1
   std::vector<std::uint32_t> row_tile;   ///< row -> tile
   std::vector<std::uint32_t> shell_tile; ///< shell -> tile
   std::vector<int> owner;                ///< tile -> owning rank

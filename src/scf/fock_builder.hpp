@@ -284,7 +284,9 @@ class FockBuilder {
 
   /// Counters of the last build on this rank: the record run_rhf puts on
   /// the profile line. Builders without a Screening count nothing and
-  /// report zeros. The getters below read single fields of it.
+  /// report zeros. The getters below read single fields of it; the three
+  /// virtual ones are what run_rhf reads outside profiling, so that a
+  /// decorating builder can forward them.
   [[nodiscard]] const BuildStats& last_stats() const { return stats_; }
 
   /// Quartets computed.
@@ -300,21 +302,20 @@ class FockBuilder {
   }
   /// MPI-level tasks (bra pairs or bra shells) this rank claimed. 0 for
   /// builders without an MPI task loop.
-  [[nodiscard]] virtual std::size_t last_pairs_claimed() const {
+  [[nodiscard]] std::size_t last_pairs_claimed() const {
     return stats_.pairs_claimed;
   }
   /// Per-OpenMP-thread split of last_quartets_computed() for this rank
   /// (size = thread count; single-threaded builders report one entry).
   /// Empty for builders that do not count.
-  [[nodiscard]] virtual std::vector<std::size_t> last_thread_quartets()
-      const {
+  [[nodiscard]] std::vector<std::size_t> last_thread_quartets() const {
     return stats_.thread_quartets;
   }
   /// Quartets a trivial-context build of a density invariant under the
   /// basis's point group computes (summed over ranks): the static
   /// survivors, one per symmetry orbit. O(Nshells^4/8); profiling-time use
   /// only. 0 = unknown.
-  [[nodiscard]] virtual std::size_t screening_predicted_quartets() const {
+  [[nodiscard]] std::size_t screening_predicted_quartets() const {
     if (screen_ == nullptr) return 0;
     const FockContext trivial;
     return QuartetCascade(*screen_, trivial, /*symmetric=*/true)
@@ -328,10 +329,10 @@ class FockBuilder {
   /// Density-tile reads served from the rank-local cache vs fetched
   /// one-sidedly from the distributed window. Zero for the
   /// replicated-matrix builders, which have no tile traffic.
-  [[nodiscard]] virtual std::size_t last_tile_cache_hits() const {
+  [[nodiscard]] std::size_t last_tile_cache_hits() const {
     return stats_.tile_hits;
   }
-  [[nodiscard]] virtual std::size_t last_tile_cache_misses() const {
+  [[nodiscard]] std::size_t last_tile_cache_misses() const {
     return stats_.tile_misses;
   }
 

@@ -156,13 +156,11 @@ void ScfJobServer::run_one(QueuedJob job, int world) {
 
     const std::uint64_t density_key =
         density_fingerprint(setup_key, spec.charge);
-    std::shared_ptr<const DensitySeed> seed;
-    if (opt_.warm_start) {
-      seed = density_cache_.get(density_key);
-      if (seed != nullptr) {
-        ctx.seed_density = std::shared_ptr<const la::Matrix>(
-            seed, &seed->density);
-      }
+    const std::shared_ptr<const DensitySeed> seed =
+        density_cache_.get(density_key);
+    if (seed != nullptr) {
+      ctx.seed_density =
+          std::shared_ptr<const la::Matrix>(seed, &seed->density);
     }
     rec.density_cache_hit = seed != nullptr;
 
@@ -182,7 +180,7 @@ void ScfJobServer::run_one(QueuedJob job, int world) {
     rec.iterations = result.scf.iterations;
     rec.outcome = result.scf.converged ? obs::JobOutcomeKind::kConverged
                                        : obs::JobOutcomeKind::kUnconverged;
-    if (result.scf.converged && opt_.warm_start) {
+    if (result.scf.converged) {
       auto produced = std::make_shared<DensitySeed>();
       produced->density = std::move(result.scf.density);
       produced->energy = result.scf.energy;

@@ -43,13 +43,12 @@ struct ServerOptions {
   std::size_t max_queue_depth = 64;
   /// Per-tenant ceiling on waiting jobs (0 = no per-tenant cap).
   std::size_t max_pending_per_tenant = 0;
-  /// LRU capacities; 0 disables the respective cache.
+  /// LRU capacities; 0 disables the respective cache. Repeat requests
+  /// start from cached converged densities; with no density cache every
+  /// job starts, like a cold one, from the SCF's atomic start
+  /// (scf::atomic_guess_density) and still reuses the setup cache.
   std::size_t setup_cache_capacity = 16;
   std::size_t density_cache_capacity = 32;
-  /// Seed repeat requests from cached converged densities. Off: repeat
-  /// jobs still reuse the setup cache but start, like cold jobs, from the
-  /// SCF's atomic start (scf::atomic_guess_density).
-  bool warm_start = true;
   /// When non-empty, one obs::JobRecord JSON line per terminal job is
   /// appended here (the CI serving lane's artifact).
   std::string telemetry_path;

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -174,7 +175,18 @@ TEST_P(DistFockGrid, TileLayoutIsShellAlignedAndCyclic) {
         bs.nbf() / (4 * static_cast<std::size_t>(nranks)));
     ASSERT_EQ(lay.tile_row0.front(), 0u) << basis;
     ASSERT_EQ(lay.tile_row0.back(), bs.nbf()) << basis;
-    ASSERT_EQ(lay.tile_shell0.back(), bs.nshells()) << basis;
+    // Shell-aligned, through what the builder reads: a shell's rows all
+    // sit in shell_tile's tile, and every tile starts at a shell.
+    std::set<std::size_t> shell_starts;
+    for (std::size_t s = 0; s < bs.nshells(); ++s) {
+      const auto& sh = bs.shell(s);
+      shell_starts.insert(sh.first_bf);
+      for (std::size_t r = sh.first_bf;
+           r < sh.first_bf + static_cast<std::size_t>(sh.nfunc()); ++r) {
+        EXPECT_EQ(lay.row_tile[r], lay.shell_tile[s])
+            << basis << " shell " << s << " row " << r;
+      }
+    }
     std::vector<std::size_t> next_offset(static_cast<std::size_t>(nranks),
                                          0);
     for (std::size_t r = 1; r < next_offset.size(); ++r) {
@@ -183,14 +195,9 @@ TEST_P(DistFockGrid, TileLayoutIsShellAlignedAndCyclic) {
     for (std::size_t t = 0; t < lay.ntiles; ++t) {
       const std::string what = std::string(basis) + " tile " +
                                std::to_string(t);
-      EXPECT_EQ(lay.tile_row0[t], bs.shell(lay.tile_shell0[t]).first_bf)
-          << what;
+      EXPECT_TRUE(shell_starts.count(lay.tile_row0[t])) << what;
       if (t + 1 < lay.ntiles) {
         EXPECT_GE(lay.tile_rows(t), target) << what;
-      }
-      for (std::size_t s = lay.tile_shell0[t]; s < lay.tile_shell0[t + 1];
-           ++s) {
-        EXPECT_EQ(lay.shell_tile[s], t) << what;
       }
       EXPECT_EQ(lay.owner[t], static_cast<int>(t) % nranks) << what;
       const auto owner = static_cast<std::size_t>(lay.owner[t]);

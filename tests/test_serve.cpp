@@ -306,7 +306,7 @@ TEST(ScfJobServer, WarmRepeatConvergesFasterToTheSameEnergy) {
 TEST(ScfJobServer, ColdModeNeverWarmStarts) {
   mc::serve::ServerOptions opt;
   opt.nworlds = 1;
-  opt.warm_start = false;
+  opt.density_cache_capacity = 0;
   mc::serve::ScfJobServer server(opt);
   mc::serve::JobSpec spec;
   spec.mol = mc::chem::builders::h2();
@@ -320,7 +320,9 @@ TEST(ScfJobServer, ColdModeNeverWarmStarts) {
   EXPECT_FALSE(out_b.density_cache_hit);
   EXPECT_TRUE(out_b.setup_cache_hit);  // setup reuse is independent
   EXPECT_EQ(out_a.iterations, out_b.iterations);
-  server.shutdown();
+  const auto s = server.shutdown();
+  EXPECT_EQ(s.density_cache_hits, 0);
+  EXPECT_EQ(s.density_cache_misses, 2);  // one lookup per job, none kept
 }
 
 TEST(ScfJobServer, RejectsWhenQueueOverflows) {
