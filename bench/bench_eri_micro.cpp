@@ -1,19 +1,28 @@
 // ERI engine microbenchmark: per-quartet cost by angular class on carbon
 // 6-31G(d) shell pairs at the graphene bond length. This is the
 // measurement that populates knlsim::EriCostTable::host_default() -- rerun
-// it and update the table when the host or compiler changes.
+// it and update the table when the host or compiler changes. The setup
+// kernels of a cold SCF (S, H = T + V, the ERI engine's shell-pair data)
+// run on the two SCF benchmark molecules; like the rest, they are hand-run
+// A/B diagnostics.
 
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "basis/basis_set.hpp"
+#include "chem/builders.hpp"
 #include "chem/molecule.hpp"
 #include "ints/eri.hpp"
 #include "ints/eri_batch.hpp"
+#include "ints/one_electron.hpp"
+#include "ints/shell_pair.hpp"
 
 namespace {
 
@@ -143,6 +152,54 @@ void BM_EriBatchMixedClasses(benchmark::State& state) {
           benchmark::Counter::kInvert);
 }
 
+// The setup kernels' molecules: 0 = pentane/STO-3G, 1 = ethane/6-31G(d).
+struct SetupCase {
+  mc::chem::Molecule mol;
+  mc::basis::BasisSet bs;
+  const char* label;
+};
+
+const SetupCase& setup_case(std::int64_t k) {
+  static const std::array<SetupCase, 2> cases = [] {
+    auto make = [](mc::chem::Molecule mol, const char* basis,
+                   const char* label) {
+      mc::basis::BasisSet bs = mc::basis::BasisSet::build(mol, basis);
+      return SetupCase{std::move(mol), std::move(bs), label};
+    };
+    return std::array<SetupCase, 2>{
+        make(mc::chem::builders::alkane(5), "STO-3G", "pentane/STO-3G"),
+        make(mc::chem::builders::alkane(2), "6-31G(d)", "ethane/6-31G(d)")};
+  }();
+  return cases[static_cast<std::size_t>(k)];
+}
+
+void BM_OverlapMatrix(benchmark::State& state) {
+  const SetupCase& c = setup_case(state.range(0));
+  for (auto _ : state) {
+    const mc::la::Matrix s = mc::ints::overlap_matrix(c.bs);
+    benchmark::DoNotOptimize(s.data());
+  }
+  state.SetLabel(c.label);
+}
+
+void BM_CoreHamiltonian(benchmark::State& state) {
+  const SetupCase& c = setup_case(state.range(0));
+  for (auto _ : state) {
+    const mc::la::Matrix h = mc::ints::core_hamiltonian(c.bs, c.mol);
+    benchmark::DoNotOptimize(h.data());
+  }
+  state.SetLabel(c.label);
+}
+
+void BM_ShellPairList(benchmark::State& state) {
+  const SetupCase& c = setup_case(state.range(0));
+  for (auto _ : state) {
+    const mc::ints::ShellPairList pairs(c.bs);
+    benchmark::DoNotOptimize(pairs.npairs());
+  }
+  state.SetLabel(c.label);
+}
+
 void RegisterAll() {
   for (int b = 0; b < 5; ++b) {
     for (int k = 0; k < 5; ++k) {
@@ -162,6 +219,17 @@ void RegisterAll() {
   benchmark::RegisterBenchmark("BM_EriBatchMixedClasses",
                                BM_EriBatchMixedClasses)
       ->Unit(benchmark::kMicrosecond);
+  using Bench = void (*)(benchmark::State&);
+  const std::pair<const char*, Bench> setup_kernels[] = {
+      {"BM_OverlapMatrix", BM_OverlapMatrix},
+      {"BM_CoreHamiltonian", BM_CoreHamiltonian},
+      {"BM_ShellPairList", BM_ShellPairList}};
+  for (const auto& [name, fn] : setup_kernels) {
+    benchmark::RegisterBenchmark(name, fn)
+        ->Arg(0)
+        ->Arg(1)
+        ->Unit(benchmark::kMicrosecond);
+  }
 }
 
 }  // namespace

@@ -1,11 +1,20 @@
 #include "basis/basis_set.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "basis/basis_library.hpp"
 #include "common/error.hpp"
 
 namespace mc::basis {
+
+BasisSet::BasisSet(std::vector<Shell> shells, std::string name)
+    : shells_(std::move(shells)), name_(std::move(name)) {
+  for (Shell& sh : shells_) {
+    sh.first_bf = nbf_;
+    nbf_ += static_cast<std::size_t>(sh.nfunc());
+  }
+}
 
 BasisSet BasisSet::build(const chem::Molecule& mol,
                          const std::string& basis_name) {
@@ -18,26 +27,24 @@ BasisSet BasisSet::build_mixed(
     const std::vector<std::string>& basis_per_atom) {
   MC_CHECK(basis_per_atom.size() == mol.natoms(),
            "build_mixed: need one basis name per atom");
-  BasisSet bs;
   // Uniform assignment keeps the plain name; a genuine mix is labeled with
   // the sorted set of distinct names so reports stay deterministic.
   std::vector<std::string> distinct(basis_per_atom);
   std::sort(distinct.begin(), distinct.end());
   distinct.erase(std::unique(distinct.begin(), distinct.end()),
                  distinct.end());
-  if (distinct.empty()) {
-    bs.name_ = "";
-  } else if (distinct.size() == 1) {
-    bs.name_ = distinct.front();
-  } else {
-    bs.name_ = "mixed[";
+  std::string name;
+  if (distinct.size() == 1) {
+    name = distinct.front();
+  } else if (distinct.size() > 1) {
+    name = "mixed[";
     for (std::size_t n = 0; n < distinct.size(); ++n) {
-      if (n > 0) bs.name_ += ",";
-      bs.name_ += distinct[n];
+      if (n > 0) name += ",";
+      name += distinct[n];
     }
-    bs.name_ += "]";
+    name += "]";
   }
-  std::size_t bf = 0;
+  std::vector<Shell> shells;
   for (std::size_t a = 0; a < mol.natoms(); ++a) {
     const chem::Atom& atom = mol.atom(a);
     for (const RawShell& raw : element_basis(basis_per_atom[a], atom.z)) {
@@ -61,13 +68,10 @@ BasisSet BasisSet::build_mixed(
       sh.coefs = raw.coefs;
       sh.atom = static_cast<int>(a);
       normalize_shell(sh);
-      sh.first_bf = bf;
-      bf += static_cast<std::size_t>(sh.nfunc());
-      bs.shells_.push_back(std::move(sh));
+      shells.push_back(std::move(sh));
     }
   }
-  bs.nbf_ = bf;
-  return bs;
+  return BasisSet(std::move(shells), std::move(name));
 }
 
 int BasisSet::max_shell_size() const {
@@ -98,17 +102,13 @@ std::size_t BasisSet::shell_of_bf(std::size_t bf) const {
 }
 
 BasisSet BasisSet::atom_block(std::size_t atom) const {
-  BasisSet block;
-  block.name_ = name_;
+  std::vector<Shell> shells;
   for (const Shell& sh : shells_) {
     if (sh.atom != static_cast<int>(atom)) continue;
-    Shell copy = sh;
-    copy.atom = 0;
-    copy.first_bf = block.nbf_;
-    block.nbf_ += static_cast<std::size_t>(copy.nfunc());
-    block.shells_.push_back(std::move(copy));
+    shells.push_back(sh);
+    shells.back().atom = 0;
   }
-  return block;
+  return BasisSet(std::move(shells), name_);
 }
 
 }  // namespace mc::basis

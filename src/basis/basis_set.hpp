@@ -15,6 +15,9 @@ namespace mc::basis {
 class BasisSet {
  public:
   BasisSet() = default;
+  /// The basis of `shells` in order: each shell's first_bf is assigned from
+  /// the running function count.
+  BasisSet(std::vector<Shell> shells, std::string name);
 
   /// Assign the named basis to every atom of `mol`. Each library shell
   /// becomes one Shell; a fused SP ("L") shell keeps its four functions

@@ -14,6 +14,7 @@
 #include "common/timer.hpp"
 #include "core/fock_mpi.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "par/ddi.hpp"
 #include "par/runtime.hpp"
 
@@ -160,11 +161,18 @@ ParallelScfResult run_parallel_scf(const chem::Molecule& mol,
     std::unique_ptr<ints::EriEngine> own_eri;
     std::unique_ptr<ints::Screening> own_screen;
     if (!ctx.has_setup()) {
-      own_bs = std::make_unique<basis::BasisSet>(
-          config.basis_per_atom.empty()
-              ? basis::BasisSet::build(mol, config.basis)
-              : basis::BasisSet::build_mixed(mol, config.basis_per_atom));
-      own_eri = std::make_unique<ints::EriEngine>(*own_bs);
+      {
+        MC_OBS_TRACE("setup:basis");
+        own_bs = std::make_unique<basis::BasisSet>(
+            config.basis_per_atom.empty()
+                ? basis::BasisSet::build(mol, config.basis)
+                : basis::BasisSet::build_mixed(mol, config.basis_per_atom));
+      }
+      {
+        MC_OBS_TRACE("setup:eri_engine");
+        own_eri = std::make_unique<ints::EriEngine>(*own_bs);
+      }
+      MC_OBS_TRACE("setup:screening");
       own_screen =
           std::make_unique<ints::Screening>(*own_eri, config.schwarz_threshold);
     }

@@ -65,29 +65,54 @@ OrientedQuartet orient_quartet(const ShellPairList& pairs, std::size_t si,
   return q;
 }
 
-void compute_eri_canonical(const ShellPairData& bra,
-                           const ShellPairData& ket, double* out) {
-  // Per-thread scratch: G accumulator, gathered R matrix, and a reused
-  // Hermite Coulomb table (no allocations in the quartet loop).
+namespace {
+
+/// The scalar kernel on one quartet in canonical orientation, with
+/// per-thread scratch: G accumulator, gathered R matrix, and a reused
+/// Hermite Coulomb table (no allocations in the quartet loop).
+void run_canonical(const ShellPairData& bra, const ShellPairData& ket,
+                   bool prescreen, double* out) {
   thread_local std::vector<double> g;
   thread_local std::vector<double> rmat;
   thread_local RTable r;
   detail::ScalarPrimSource src;
   src.ltot = (bra.l1 + bra.l2) + (ket.l1 + ket.l2);
+  src.prescreen = prescreen;
   detail::eri_quartet_kernel(bra, ket, src, g, rmat, r, out);
+}
+
+/// run_canonical for a caller quartet: oriented by orient_quartet, then
+/// permuted into the caller's [i][j][k][l] layout.
+void run_oriented(const ShellPairList& pairs, std::size_t si,
+                  std::size_t sj, std::size_t sk, std::size_t sl,
+                  bool prescreen, double* out) {
+  const OrientedQuartet q = orient_quartet(pairs, si, sj, sk, sl);
+  if (q.in_place) {
+    run_canonical(*q.bra, *q.ket, prescreen, out);
+    return;
+  }
+  thread_local std::vector<double> tmp;
+  ensure_batch_size(tmp, static_cast<std::size_t>(q.n[0]) * q.n[1] *
+                             q.n[2] * q.n[3]);
+  run_canonical(*q.bra, *q.ket, prescreen, tmp.data());
+  detail::permute_to_caller(tmp.data(), q, out);
+}
+
+}  // namespace
+
+void compute_eri_canonical(const ShellPairData& bra,
+                           const ShellPairData& ket, double* out) {
+  run_canonical(bra, ket, /*prescreen=*/true, out);
 }
 
 void EriEngine::compute(std::size_t si, std::size_t sj, std::size_t sk,
                         std::size_t sl, double* out) const {
-  const OrientedQuartet q = orient_quartet(pairs_, si, sj, sk, sl);
-  if (q.in_place) {
-    compute_eri_canonical(*q.bra, *q.ket, out);
-    return;
-  }
-  thread_local std::vector<double> tmp;
-  ensure_batch_size(tmp, batch_size(si, sj, sk, sl));
-  compute_eri_canonical(*q.bra, *q.ket, tmp.data());
-  detail::permute_to_caller(tmp.data(), q, out);
+  run_oriented(pairs_, si, sj, sk, sl, /*prescreen=*/true, out);
+}
+
+void EriEngine::compute_diagonal(std::size_t si, std::size_t sj,
+                                 double* out) const {
+  run_oriented(pairs_, si, sj, si, sj, /*prescreen=*/false, out);
 }
 
 }  // namespace mc::ints

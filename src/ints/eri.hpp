@@ -79,6 +79,12 @@ class EriEngine {
   void compute(std::size_t si, std::size_t sj, std::size_t sk,
                std::size_t sl, double* out) const;
 
+  /// The Schwarz diagonal (si sj | si sj), same layout and contract as
+  /// compute(), with every primitive quartet evaluated: compute()'s
+  /// primitive prescreen can zero a diagonal whose (si sj | sk sl) with a
+  /// larger (sk sl) it keeps, and a zero bound would screen those out.
+  void compute_diagonal(std::size_t si, std::size_t sj, double* out) const;
+
   /// Number of doubles compute() writes for this quartet.
   [[nodiscard]] std::size_t batch_size(std::size_t si, std::size_t sj,
                                        std::size_t sk, std::size_t sl) const;

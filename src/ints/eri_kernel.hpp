@@ -114,14 +114,19 @@ struct ScalarBoys {
 };
 
 /// Primitive source for the scalar path: computes geometry, prescreen, and
-/// Boys values inline per primitive quartet.
+/// Boys values inline per primitive quartet. Without `prescreen` every
+/// primitive quartet is evaluated: the Schwarz diagonals need that
+/// (EriEngine::compute_diagonal), since the prescreen's cutoff is absolute
+/// and can drop every term of a small (ij|ij) while an (ij|kl) with a
+/// large kl keeps its terms.
 struct ScalarPrimSource {
   int ltot = 0;
+  bool prescreen = true;
   double buf[kMaxBoysOrder + 1];
   bool next(const PrimPairData& bp, const PrimPairData& kp, PrimGeom& pg,
             FmView& fv) {
     pg = prim_geom(bp, kp);
-    if (prim_skipped(bp, kp, pg.pref)) return false;
+    if (prescreen && prim_skipped(bp, kp, pg.pref)) return false;
     boys(ltot, pg.t, buf);
     fv = {buf, 1};
     return true;

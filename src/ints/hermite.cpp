@@ -1,15 +1,12 @@
 #include "ints/hermite.hpp"
 
-#include <algorithm>
 #include <cmath>
-
-#include "common/error.hpp"
-#include "ints/boys.hpp"
 
 namespace mc::ints {
 
-ETable::ETable(int imax, int jmax, double a, double b, double ab)
-    : jmax_(jmax), tdim_(imax + jmax + 1) {
+void ETable::build(int imax, int jmax, double a, double b, double ab) {
+  jmax_ = jmax;
+  tdim_ = imax + jmax + 1;
   const double p = a + b;
   const double mu = a * b / p;
   const double one_over_2p = 0.5 / p;
@@ -46,23 +43,6 @@ ETable::ETable(int imax, int jmax, double a, double b, double ab)
       }
     }
   }
-}
-
-void RTable::build(int ltot, double alpha, const double* pq) {
-  reserve(ltot);
-  const double r2 = pq[0] * pq[0] + pq[1] * pq[1] + pq[2] * pq[2];
-
-  double fm[kMaxBoysOrder + 1];
-  boys(ltot, alpha * r2, fm);
-
-  // Zero the full cube so out-of-triangle reads (general consumers like
-  // the nuclear-attraction driver index by per-axis bounds) see exact 0.0.
-  std::fill_n(data_.begin(), static_cast<std::size_t>(dim_) * dim_ * dim_,
-              0.0);
-
-  double seeds[kMaxBoysOrder + 1];
-  hermite_r_seeds(ltot, alpha, fm, 1, seeds);
-  hermite_r_recursion(ltot, pq, seeds, data_.data(), scratch_.data());
 }
 
 }  // namespace mc::ints

@@ -22,9 +22,15 @@ namespace mc::ints {
 class ETable {
  public:
   ETable() = default;
-  /// Builds the full table. The Gaussian product prefactor
-  /// exp(-a b/(a+b) AB^2) is folded into every coefficient.
-  ETable(int imax, int jmax, double a, double b, double ab);
+  ETable(int imax, int jmax, double a, double b, double ab) {
+    build(imax, jmax, a, b, ab);
+  }
+
+  /// Builds the full table in place. The Gaussian product prefactor
+  /// exp(-a b/(a+b) AB^2) is folded into every coefficient. The storage
+  /// only grows, so a table rebuilt for every primitive pair of a loop
+  /// allocates only when the loop first meets a larger (imax, jmax).
+  void build(int imax, int jmax, double a, double b, double ab);
 
   [[nodiscard]] double operator()(int i, int j, int t) const {
     if (t < 0 || t > i + j) return 0.0;
@@ -97,9 +103,10 @@ constexpr void hermite_r_steps(int ltot, StepFn&& step) {
 }
 
 /// Loop form of the recursion, for an order known only at run time (RTable:
-/// f shells and up, one-electron V, the reference ERI kernel). `seeds[n]`
-/// must hold (-2 alpha)^n F_n, n = 0..ltot. Each level opens with its
-/// seed step, which is where the level's buffers are picked.
+/// f shells and up in the ERI kernel and in one-electron V, the reference
+/// ERI kernel). `seeds[n]` must hold (-2 alpha)^n F_n, n = 0..ltot. Each
+/// level opens with its seed step, which is where the level's buffers are
+/// picked.
 inline void hermite_r_recursion(int ltot, const double* pq,
                                 const double* seeds, double* even,
                                 double* odd) {
@@ -172,26 +179,16 @@ inline void hermite_r_seeds(int ltot, double alpha, const double* fm,
 /// 0 <= t+u+v <= ltot. Built from the Boys function by the standard
 /// auxiliary-index recursion.
 ///
-/// build() and build_from() reuse internal storage, so a long-lived (e.g.
+/// build_from() reuses internal storage, so a long-lived (e.g.
 /// thread_local) instance performs no allocations in the hot
 /// primitive-quartet loop.
 class RTable {
  public:
-  RTable() = default;
-  /// Convenience constructor; prefer a reused instance + build() in loops.
-  RTable(int ltot, double alpha, const double* pq) { build(ltot, alpha, pq); }
-
-  /// alpha: reduced exponent of the Coulomb kernel; pq = P - Q vector.
-  /// Evaluates the Boys function internally and zero-fills the cube, so
-  /// reads outside the t+u+v <= ltot triangle return exactly 0.0.
-  void build(int ltot, double alpha, const double* pq);
-
-  /// Hot-path variant for callers that batch the Boys evaluation: seeds the
-  /// recursion from fm[m * fm_stride] = F_m(alpha |PQ|^2), m = 0..ltot, and
-  /// fills ONLY the t+u+v <= ltot triangle (no cube zeroing, no copy) --
-  /// entries outside the triangle are stale. The ERI kernel's loops are
-  /// triangle-bounded, which is what makes this safe; arithmetic is
-  /// identical to build(), so in-triangle values match it bitwise.
+  /// Seeds the recursion from fm[m * fm_stride] = F_m(alpha |PQ|^2),
+  /// m = 0..ltot (alpha: reduced exponent of the Coulomb kernel; pq = P - Q
+  /// vector), and fills ONLY the t+u+v <= ltot triangle (no cube zeroing,
+  /// no copy) -- entries outside the triangle are stale. Every consumer's
+  /// loops are triangle-bounded, which is what makes this safe.
   void build_from(int ltot, double alpha, const double* pq, const double* fm,
                   std::size_t fm_stride);
 

@@ -34,8 +34,11 @@ Screening::Screening(const EriEngine& eri, double threshold)
 
   const auto& bs = eri.basis_set();
   // The diagonal (ij|ij) sweep is pure setup but O(nshells^2) ERI batches:
-  // parallelize over the flat pair range. compute() is reentrant
-  // (thread-local scratch) and every iteration writes disjoint q_ entries.
+  // parallelize over the flat pair range. Each diagonal is evaluated
+  // without the primitive prescreen (EriEngine::compute_diagonal), so a
+  // pair with any primitive pair data gets a nonzero bound. The call is
+  // reentrant (thread-local scratch) and every iteration writes disjoint
+  // q_ entries.
   // The release/acquire pair teaches TSan about libgomp's fork/join edges
   // (see common/tsan_annotations.hpp).
   MC_TSAN_RELEASE(q_.data());
@@ -52,7 +55,7 @@ Screening::Screening(const EriEngine& eri, double threshold)
       const std::size_t s1 = pair_i_[static_cast<std::size_t>(p)];
       const std::size_t s2 = pair_j_[static_cast<std::size_t>(p)];
       ensure_batch_size(batch, eri.batch_size(s1, s2, s1, s2));
-      eri.compute(s1, s2, s1, s2, batch.data());
+      eri.compute_diagonal(s1, s2, batch.data());
       // Diagonal elements (ab|ab) of the batch bound the whole class; take
       // the max over components for a shell-level bound.
       const int n1 = bs.shell(s1).nfunc();

@@ -30,6 +30,8 @@ ShellPairData make_shell_pair(const basis::Shell& sh1,
   // One primitive pair's dense coefficients, the scratch its nonzero rows
   // are compacted from; the pair data keeps only the rows.
   std::vector<double> cube(static_cast<std::size_t>(sp.ncomp()) * herm);
+  // E tables rebuilt in place for every primitive pair.
+  ETable ex, ey, ez;
 
   for (std::size_t pa = 0; pa < sh1.exps.size(); ++pa) {
     for (std::size_t pb = 0; pb < sh2.exps.size(); ++pb) {
@@ -54,9 +56,9 @@ ShellPairData make_shell_pair(const basis::Shell& sh1,
         pp.P[d] = (a * sh1.center[d] + b * sh2.center[d]) / (a + b);
       }
 
-      const ETable ex(sh1.l, sh2.l, a, b, abx);
-      const ETable ey(sh1.l, sh2.l, a, b, aby);
-      const ETable ez(sh1.l, sh2.l, a, b, abz);
+      ex.build(sh1.l, sh2.l, a, b, abx);
+      ey.build(sh1.l, sh2.l, a, b, aby);
+      ez.build(sh1.l, sh2.l, a, b, abz);
 
       std::fill(cube.begin(), cube.end(), 0.0);
       for (std::size_t c1 = 0; c1 < comps1.size(); ++c1) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -170,11 +171,17 @@ ScfResult run_rhf(const chem::Molecule& mol, const basis::BasisSet& bs,
   res.nuclear_repulsion = mol.nuclear_repulsion();
 
   // The large matrices are tracked, so each rank's replicated copies show
-  // in MemoryTracker -- the replication pattern of the GAMESS code.
-  const la::Matrix s(ints::overlap_matrix(bs), "overlap");
-  const la::Matrix h(ints::core_hamiltonian(bs, mol), "hcore");
-  const la::Matrix x =
-      la::canonical_orthogonalizer(s, options.lindep_tolerance);
+  // in MemoryTracker -- the replication pattern of the GAMESS code. S, H
+  // and the orthogonalizer X are one setup span; moving them out of it
+  // keeps their tracked allocations.
+  const auto [s, h, x] = [&] {
+    MC_OBS_TRACE("setup:one_electron");
+    la::Matrix overlap(ints::overlap_matrix(bs), "overlap");
+    la::Matrix hcore(ints::core_hamiltonian(bs, mol), "hcore");
+    la::Matrix orth =
+        la::canonical_orthogonalizer(overlap, options.lindep_tolerance);
+    return std::tuple{std::move(overlap), std::move(hcore), std::move(orth)};
+  }();
 
   la::Matrix d(nbf, nbf, "density");
   if (seed_density != nullptr) {
@@ -182,6 +189,7 @@ ScfResult run_rhf(const chem::Molecule& mol, const basis::BasisSet& bs,
              "warm-start seed density has the wrong shape");
     d.copy_values_from(*seed_density);
   } else {
+    MC_OBS_TRACE("setup:atomic_guess");
     d.copy_values_from(
         atomic_guess_density(mol, bs, nelec, options.lindep_tolerance));
   }

@@ -28,6 +28,7 @@
 #include "ints/screening.hpp"
 #include "la/matrix.hpp"
 #include "obs/metrics.hpp"
+#include "one_electron_reference.hpp"
 
 namespace mc::ints {
 namespace {
@@ -105,7 +106,10 @@ TEST(Hermite, RTableTopElementIsBoys) {
   const double pq[3] = {0.3, -0.2, 0.5};
   const double alpha = 0.9;
   const double r2 = pq[0] * pq[0] + pq[1] * pq[1] + pq[2] * pq[2];
-  RTable r(4, alpha, pq);
+  double fm[kMaxBoysOrder + 1];
+  boys(4, alpha * r2, fm);
+  RTable r;
+  r.build_from(4, alpha, pq, fm, 1);
   EXPECT_NEAR(r(0, 0, 0), boys_single(0, alpha * r2), 1e-13);
 }
 
@@ -437,6 +441,107 @@ TEST(OneElectron, MatricesInvariantUnderTranslation) {
               0.0, 1e-10);
 }
 
+// The production builders against the test-only reference
+// (one_electron_reference.hpp): S and T keep its bits, V and H, which sum
+// the nuclei into one Hermite table before contracting, agree to rounding.
+
+/// Bit patterns equal element for element.
+bool same_bits(const la::Matrix& a, const la::Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      if (std::bit_cast<std::uint64_t>(a(i, j)) !=
+          std::bit_cast<std::uint64_t>(b(i, j))) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+struct OneElectronCase {
+  std::string name;
+  chem::Molecule mol;
+  basis::BasisSet bs;
+};
+
+/// Water/6-31G(d) with a manufactured f shell on the oxygen and on the
+/// first hydrogen: pair orders 5 and 6 take V's runtime-order recursion.
+basis::BasisSet with_f_shells(const chem::Molecule& mol) {
+  std::vector<basis::Shell> shells =
+      basis::BasisSet::build(mol, "6-31G(d)").shells();
+  for (const int a : {0, 1}) {
+    basis::Shell f;
+    f.l = 3;
+    f.exps = {1.1, 0.35};
+    f.coefs = {0.6, 0.5};
+    f.center = mol.atom(static_cast<std::size_t>(a)).xyz;
+    f.atom = a;
+    basis::normalize_shell(f);
+    shells.push_back(std::move(f));
+  }
+  return basis::BasisSet(std::move(shells), "6-31G(d)+f");
+}
+
+std::vector<OneElectronCase> one_electron_cases() {
+  namespace b = chem::builders;
+  const chem::Molecule water = b::water();
+  const chem::Molecule shifted = water.translated(1.3, -0.4, 2.2);
+  std::vector<OneElectronCase> cases;
+  auto add = [&](const std::string& name, const chem::Molecule& mol,
+                 basis::BasisSet bs) {
+    cases.push_back({name, mol, std::move(bs)});
+  };
+  add("water/6-31G(d)", water, basis::BasisSet::build(water, "6-31G(d)"));
+  add("methane/6-31G(d)", b::methane(),
+      basis::BasisSet::build(b::methane(), "6-31G(d)"));
+  add("ethane/6-31G(d)", b::alkane(2),
+      basis::BasisSet::build(b::alkane(2), "6-31G(d)"));
+  add("pentane/STO-3G", b::alkane(5),
+      basis::BasisSet::build(b::alkane(5), "STO-3G"));
+  add("benzene/STO-3G", b::benzene(),
+      basis::BasisSet::build(b::benzene(), "STO-3G"));
+  add("water/mixed", water,
+      basis::BasisSet::build_mixed(water, {"6-31G(d)", "STO-3G", "6-31G"}));
+  add("translated water/6-31G(d)", shifted,
+      basis::BasisSet::build(shifted, "6-31G(d)"));
+  add("water/6-31G(d)+f", water, with_f_shells(water));
+  return cases;
+}
+
+TEST(OneElectron, OverlapAndKineticMatchTheReferenceBitForBit) {
+  for (const OneElectronCase& c : one_electron_cases()) {
+    EXPECT_TRUE(same_bits(overlap_matrix(c.bs),
+                          reference::overlap_matrix(c.bs)))
+        << c.name;
+    EXPECT_TRUE(same_bits(kinetic_matrix(c.bs),
+                          reference::kinetic_matrix(c.bs)))
+        << c.name;
+  }
+}
+
+TEST(OneElectron, NuclearAttractionAndCoreHamiltonianMatchTheReference) {
+  int runtime_order = 0;
+  for (const OneElectronCase& c : one_electron_cases()) {
+    const la::Matrix v = nuclear_attraction_matrix(c.bs, c.mol);
+    const la::Matrix h = core_hamiltonian(c.bs, c.mol);
+    EXPECT_LE(v.max_abs_diff(reference::nuclear_attraction_matrix(c.bs,
+                                                                  c.mol)),
+              1e-12)
+        << c.name;
+    EXPECT_LE(h.max_abs_diff(reference::core_hamiltonian(c.bs, c.mol)),
+              1e-12)
+        << c.name;
+    // One pass behind all three entry points: H is T + V of it, to the
+    // bit.
+    la::Matrix t_plus_v = kinetic_matrix(c.bs);
+    t_plus_v += v;
+    EXPECT_TRUE(same_bits(h, t_plus_v)) << c.name;
+    runtime_order += 2 * c.bs.max_l() > 4 ? 1 : 0;
+  }
+  EXPECT_EQ(runtime_order, 1);
+}
+
 // ---- ERIs ----
 
 TEST(Eri, SameCenterSsssClosedForm) {
@@ -492,7 +597,10 @@ TEST(Eri, TwoCenterSsssMatchesBoysClosedForm) {
   const double pq[3] = {bra.prims[0].P[0] - ket.prims[0].P[0],
                         bra.prims[0].P[1] - ket.prims[0].P[1],
                         bra.prims[0].P[2] - ket.prims[0].P[2]};
-  RTable rt(0, alpha, pq);
+  double fm[1];
+  boys(0, alpha * r * r, fm);
+  RTable rt;
+  rt.build_from(0, alpha, pq, fm, 1);
   const double got = 2.0 * std::pow(kPi, 2.5) / (p * q * std::sqrt(p + q)) *
                      hermite_cube(bra, bra.prims[0])[0] *
                      hermite_cube(ket, ket.prims[0])[0] * rt(0, 0, 0);
@@ -689,6 +797,46 @@ TEST(Screening, DistantPairsAreScreenedOut) {
   EXPECT_LT(sc.q(0, bs.nshells() - 1), 1e-12);
   const std::size_t kept = sc.count_surviving_quartets();
   EXPECT_LT(kept, sc.total_quartets() / 2);
+}
+
+TEST(Screening, EveryPairWithPrimitiveDataHasAPositiveBound) {
+  // The diagonals (ij|ij) are evaluated without the primitive prescreen.
+  // Its cutoff is absolute, so it once zeroed every term of two small
+  // pentane/STO-3G diagonals while (ij|kl) with a large kl kept its terms,
+  // and q_ij = 0 screened those nonzero integrals out at any threshold.
+  // Now q_ij is 0 only for a pair with no primitive pair data (every
+  // integral of it is 0), and it bounds the pair's quartet with the
+  // largest partner.
+  for (const auto& mol : {chem::builders::alkane(5), chem::builders::benzene()}) {
+    const auto bs = basis::BasisSet::build(mol, "STO-3G");
+    const EriEngine eri(bs);
+    const Screening sc(eri);
+    std::size_t k = 0, l = 0;
+    for (std::size_t i = 0; i < bs.nshells(); ++i) {
+      for (std::size_t j = 0; j <= i; ++j) {
+        if (sc.q(i, j) > sc.q(k, l)) {
+          k = i;
+          l = j;
+        }
+      }
+    }
+    std::size_t zero = 0;
+    std::vector<double> batch;
+    for (std::size_t i = 0; i < bs.nshells(); ++i) {
+      for (std::size_t j = 0; j <= i; ++j) {
+        const bool data = !eri.pairs().pair(i, j).prims.empty();
+        EXPECT_EQ(sc.q(i, j) > 0.0, data) << i << " " << j;
+        zero += data ? 0 : 1;
+        batch.assign(eri.batch_size(i, j, k, l), 0.0);
+        eri.compute(i, j, k, l, batch.data());
+        double mx = 0.0;
+        for (const double v : batch) mx = std::max(mx, std::abs(v));
+        EXPECT_LE(mx, sc.q(i, j) * sc.q(k, l) * (1.0 + 1e-10) + 1e-14)
+            << i << " " << j;
+      }
+    }
+    EXPECT_GT(zero, 0u);  // far pairs whose product prefactors all vanish
+  }
 }
 
 // ---- Batched ERI pipeline (DESIGN.md section 12) ----

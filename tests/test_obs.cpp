@@ -774,6 +774,49 @@ TEST(Profile, ParallelBenzeneRunSatisfiesAcceptanceChecks) {
   EXPECT_NE(json.find("\"scf:iteration\""), std::string::npos);
 }
 
+/// Spans named `span` that rank `rank` recorded, in an exported chrome
+/// trace.
+int rank_spans(const std::string& json, const std::string& span, int rank) {
+  const std::string head = "{\"name\":\"" + span +
+                           "\",\"cat\":\"obs\",\"ph\":\"X\",\"pid\":" +
+                           std::to_string(rank) + ",";
+  int n = 0;
+  for (std::size_t at = json.find(head); at != std::string::npos;
+       at = json.find(head, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(Profile, ColdSetupSpansEveryRankOnce) {
+  // A profiled cold run shows per rank where its setup time went: the
+  // basis, the ERI engine's pair data, the Schwarz screening, S/H/X and
+  // the atomic start.
+  ObsFlagGuard guard;
+  const std::string base = ::testing::TempDir() + "mc_obs_setup";
+  ParallelScfConfig cfg;
+  cfg.algorithm = ScfAlgorithm::kMpiOnly;
+  cfg.nranks = 2;
+  cfg.nthreads = 1;
+  cfg.basis = "STO-3G";
+  cfg.scf.max_iterations = 2;
+  cfg.scf.profile_path = base;
+  run_parallel_scf(chem::builders::water(), cfg);
+
+  std::ifstream trace(base + ".trace.json");
+  ASSERT_TRUE(trace.good());
+  std::stringstream buf;
+  buf << trace.rdbuf();
+  for (const char* span : {"setup:basis", "setup:eri_engine",
+                           "setup:screening", "setup:one_electron",
+                           "setup:atomic_guess"}) {
+    for (int rank = 0; rank < 2; ++rank) {
+      EXPECT_EQ(rank_spans(buf.str(), span, rank), 1)
+          << span << " rank " << rank;
+    }
+  }
+}
+
 TEST(Profile, RecordThreadCountIsWidestRankThreadSplit) {
   // A record's nthreads counts the threads that computed quartets, so a
   // single-threaded builder reports 1 whatever the config asked for.

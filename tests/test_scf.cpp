@@ -506,6 +506,33 @@ TEST_P(BuilderEquivalence, SkeletonMatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Bases, BuilderEquivalence,
                          ::testing::Values("STO-3G", "6-31G", "6-31G(d)"));
 
+TEST(Screening, TightThresholdPentaneBuildMatchesBruteForce) {
+  // Every shell pair with primitive pair data has a nonzero Schwarz bound,
+  // so a tight threshold leaves only the error it allows. Pentane/STO-3G
+  // once sat 2.7e-10 from brute force at every threshold: two of its
+  // pairs had a bound of 0 (Screening.EveryPairWithPrimitiveDataHasA-
+  // PositiveBound). At the default 1e-10 that gap is screening error the
+  // threshold allows.
+  const chem::Molecule mol = chem::builders::alkane(5);
+  const auto bs = basis::BasisSet::build(mol, "STO-3G");
+  ints::EriEngine eri(bs);
+  ints::Screening screen(eri, 1e-14);
+  const la::Matrix d =
+      atomic_guess_density(mol, bs, mol.nelectrons(), 1e-10);
+
+  la::Matrix g1(bs.nbf(), bs.nbf());
+  SerialFockBuilder serial(eri, screen);
+  serial.build(d, g1);
+  g1.symmetrize();
+
+  la::Matrix g2(bs.nbf(), bs.nbf());
+  BruteForceFockBuilder brute(eri);
+  brute.build(d, g2);
+  g2.symmetrize();
+
+  EXPECT_LE(g1.max_abs_diff(g2), 1e-12);
+}
+
 TEST(Scf, ScreeningDoesNotChangeEnergy) {
   auto mol = chem::builders::benzene();
   auto bs = basis::BasisSet::build(mol, "STO-3G");

@@ -5,9 +5,9 @@
 // the full two-electron matrix. Symmetrized, it matches the C1 build of
 // the same screening within 1e-12, for a full density and for a
 // density-weighted delta, and that C1 build matches the unscreened
-// brute-force one within 1e-12 (pentane/STO-3G: 1e-9, see
-// C1ReferenceMatchesBruteForce). The counters match C1's too: kills count C1 quartets, and
-// computed plus symmetry-skipped quartets are the C1 survivors. The suite
+// brute-force one within 1e-12. The counters match C1's too: kills count
+// C1 quartets, and computed plus symmetry-skipped quartets are the C1
+// survivors. The suite
 // carries the tsan label: the threaded configurations project after the
 // team and rank reductions.
 
@@ -55,9 +55,6 @@ struct Case {
   const char* basis;
   int order;
   bool delta_kills;  ///< does the delta's density bound kill quartets?
-  /// Agreement of the C1 build with brute force (kTolerance but for
-  /// pentane, see C1ReferenceMatchesBruteForce).
-  double brute_tolerance;
 };
 
 chem::Molecule pentane() { return chem::builders::alkane(5); }
@@ -200,11 +197,10 @@ TEST_P(SymmetricFock, C1ReferenceMatchesBruteForce) {
   la::Matrix g(fx.bs.nbf(), fx.bs.nbf());
   brute.build(fx.d, g);
   g.symmetrize();
-  // Pairs whose engine-computed (ij|ij) is zero leave the pair list at
-  // any threshold, though some of their (ij|kl) are not zero:
-  // pentane/STO-3G loses 8 of its 253 pairs and about 2.7e-10 of G this
-  // way, in C1 alike, hence its looser brute_tolerance.
-  EXPECT_LE(g.max_abs_diff(fx.ref.g), c.brute_tolerance) << c.name;
+  // Every pair with primitive pair data has a nonzero Schwarz bound
+  // (Screening.EveryPairWithPrimitiveDataHasAPositiveBound), so at this
+  // threshold no pair with a nonzero integral leaves the pair list.
+  EXPECT_LE(g.max_abs_diff(fx.ref.g), kTolerance) << c.name;
   g.set_zero();
   brute.build(fx.d_delta, g);
   g.symmetrize();
@@ -269,15 +265,12 @@ TEST_P(SymmetricFock, SharedFockMatchesC1) {
 INSTANTIATE_TEST_SUITE_P(
     Molecules, SymmetricFock,
     ::testing::Values(
-        Case{"pentane_sto3g", pentane, "STO-3G", 4, true, 1e-9},
-        Case{"propane_sto3g", propane, "STO-3G", 4, true, kTolerance},
-        Case{"benzene_sto3g", chem::builders::benzene, "STO-3G", 8, true,
-             kTolerance},
-        Case{"ethane_631gd", ethane, "6-31G(d)", 4, true, kTolerance},
-        Case{"water_631gd", chem::builders::water, "6-31G(d)", 4, false,
-             kTolerance},
-        Case{"methane_631gd", chem::builders::methane, "6-31G(d)", 4, false,
-             kTolerance}),
+        Case{"pentane_sto3g", pentane, "STO-3G", 4, true},
+        Case{"propane_sto3g", propane, "STO-3G", 4, true},
+        Case{"benzene_sto3g", chem::builders::benzene, "STO-3G", 8, true},
+        Case{"ethane_631gd", ethane, "6-31G(d)", 4, true},
+        Case{"water_631gd", chem::builders::water, "6-31G(d)", 4, false},
+        Case{"methane_631gd", chem::builders::methane, "6-31G(d)", 4, false}),
     [](const ::testing::TestParamInfo<Case>& info) {
       return std::string(info.param.name);
     });
@@ -286,7 +279,7 @@ TEST(SymmetricFockGuard, NonInvariantDensityFallsBackToC1) {
   // A random symmetric density breaks the point group: every builder must
   // notice, build C1 and still return the full matrix.
   const Case water{"water_631gd", chem::builders::water, "6-31G(d)", 4,
-                   false, kTolerance};
+                   false};
   const SymFixture fx(water);
   la::Matrix d(fx.bs.nbf(), fx.bs.nbf());
   for (std::size_t i = 0; i < d.rows(); ++i) {
